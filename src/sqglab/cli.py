@@ -129,6 +129,8 @@ def _run_checks(cfg: RunConfig, result: SimulationResult, checks) -> list[Verdic
 
     if "limits" in checks:
         times = [t for t, _ in result.snapshots if t > 0]
+        if not times:
+            raise ValueError("check 'limits' needs at least one snapshot at t > 0")
         t_split = float(np.sqrt(times[0] * times[-1]))
         early = _verify.limit_scan(result, _verify.T_TO_0, window, cfg.floor_frac,
                                    cfg.dev_threshold, t_max=t_split)

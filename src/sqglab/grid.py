@@ -1,9 +1,13 @@
 """
 Periodic-box fields and Fourier-multiplier operators.
 
-All operators act through the 2D FFT on a square box of side ``box_length``
-with ``n`` points per axis, wavenumbers 2*pi/L * {-n/2, ..., n/2-1}.
-Fields are immutable once constructed; every operation returns a new field.
+All operators act through the real 2D FFT on a square box of side
+``box_length`` with ``n`` points per axis.  Coefficients live on the rfft2
+half plane of shape (n, n//2+1): kx = 2*pi/L * {0, ..., n/2-1, -n/2, ..., -1}
+and ky = 2*pi/L * {0, ..., n/2}; the negative-ky half is the complex conjugate.
+Odd-order multipliers zero the Nyquist entries (kx = -n/2, ky = n/2) so that
+derivatives of real fields stay real.  ``_Spectra`` is the only place that
+knows this layout.  Fields are immutable; every operation returns a new field.
 """
 
 from __future__ import annotations
@@ -51,25 +55,26 @@ class GridSpec:
 
 
 class _Spectra:
-    """Cached multiplier arrays per grid (kept off the frozen dataclass)."""
+    """Cached rfft2-layout multipliers and transforms per grid (kept off the frozen dataclass)."""
 
     _cache: dict[tuple[int, float], "_Spectra"] = {}
 
     def __init__(self, grid: GridSpec):
-        kx, ky = grid.wavenumbers()
-        self.kx, self.ky = kx, ky
-        self.kmod = np.hypot(kx, ky)
-        # Nyquist column is zeroed in the odd-multiplier wavenumbers so that
-        # first derivatives of real fields stay real and antisymmetric.
-        kd = 2 * np.pi * _fft.fftfreq(grid.n, d=grid.dx)
-        kd[grid.n // 2] = 0.0
-        self.kx_odd = kd[:, None]
-        self.ky_odd = kd[None, :]
+        n, dx = grid.n, grid.dx
+        self.shape = grid.shape
+        kx = 2 * np.pi * _fft.fftfreq(n, d=dx)
+        ky = 2 * np.pi * _fft.rfftfreq(n, d=dx)
+        self.kx, self.ky = kx[:, None], ky[None, :]
+        kx_odd, ky_odd = kx.copy(), ky.copy()
+        kx_odd[n // 2] = 0.0
+        ky_odd[-1] = 0.0
+        self.kx_odd, self.ky_odd = kx_odd[:, None], ky_odd[None, :]
+        self.kmod = np.hypot(self.kx, self.ky)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.riesz1 = np.where(self.kmod > 0, 1j * self.kx_odd / self.kmod, 0.0)
             self.riesz2 = np.where(self.kmod > 0, 1j * self.ky_odd / self.kmod, 0.0)
-        cut = (grid.n // 3) * (2 * np.pi / grid.box_length)
-        self.dealias_mask = (np.abs(kx) <= cut + 1e-12) & (np.abs(ky) <= cut + 1e-12)
+        cut = (n // 3) * (2 * np.pi / grid.box_length)
+        self.dealias_mask = (np.abs(self.kx) <= cut + 1e-12) & (np.abs(self.ky) <= cut + 1e-12)
 
     @classmethod
     def of(cls, grid: GridSpec) -> "_Spectra":
@@ -77,6 +82,11 @@ class _Spectra:
         if key not in cls._cache:
             cls._cache[key] = cls(grid)
         return cls._cache[key]
+
+    forward = staticmethod(_fft.rfft2)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return _fft.irfft2(coeffs, s=self.shape)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -112,15 +122,16 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Scalar field in Fourier representation (conjugate-symmetric coefficients)."""
+    """Real field in Fourier representation: rfft2 half plane, shape (n, n//2+1), ky = 0 ... n/2."""
 
     grid: GridSpec
     coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != self.grid.shape:
-            raise ValueError(f"coefficient shape {c.shape} does not match grid {self.grid.shape}")
+        shape = (self.grid.n, self.grid.n // 2 + 1)
+        if c.shape != shape:
+            raise ValueError(f"coefficient shape {c.shape} does not match half plane {shape}")
         object.__setattr__(self, "coefficients", _freeze(c))
 
 
@@ -143,20 +154,20 @@ class MultiIndex:
 
 
 def transform_forward(f: RealField) -> SpectralField:
-    """FFT of a real field. Rejects non-finite input."""
+    """Real FFT of a real field onto the half plane. Rejects non-finite input."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("field contains non-finite values")
-    return SpectralField(f.grid, _fft.fft2(f.values))
+    return SpectralField(f.grid, _Spectra.forward(f.values))
 
 
 def transform_inverse(F: SpectralField) -> RealField:
-    """Inverse FFT; imaginary residue of the conjugate-symmetric input is dropped."""
-    return RealField(F.grid, np.real(_fft.ifft2(F.coefficients)))
+    """Inverse real FFT of half-plane coefficients."""
+    return RealField(F.grid, _Spectra.of(F.grid).inverse(F.coefficients))
 
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
-    fh = _fft.fft2(f.values)
-    return RealField(f.grid, np.real(_fft.ifft2(mult * fh)))
+    sp = _Spectra.of(f.grid)
+    return RealField(f.grid, sp.inverse(mult * sp.forward(f.values)))
 
 
 def apply_fractional_laplacian(f: RealField, alpha: float) -> RealField:
@@ -188,16 +199,15 @@ def apply_riesz(f: RealField, i: int) -> RealField:
 def apply_riesz_perp(f: RealField) -> tuple[RealField, RealField]:
     """The divergence-free rotation (-R_2 f, R_1 f)."""
     sp = _Spectra.of(f.grid)
-    fh = _fft.fft2(f.values)
-    u1 = np.real(_fft.ifft2(-sp.riesz2 * fh))
-    u2 = np.real(_fft.ifft2(sp.riesz1 * fh))
+    fh = sp.forward(f.values)
+    u1, u2 = sp.inverse(-sp.riesz2 * fh), sp.inverse(sp.riesz1 * fh)
     return RealField(f.grid, u1), RealField(f.grid, u2)
 
 
 def apply_derivative(f: RealField, kappa: MultiIndex) -> RealField:
     """Spectral derivative d^|kappa| f / dx1^k1 dx2^k2."""
     sp = _Spectra.of(f.grid)
-    mult = np.ones(f.grid.shape, dtype=complex)
+    mult = np.ones((1, 1), dtype=complex)
     if kappa.k1:
         mult = mult * (1j * (sp.kx_odd if kappa.k1 % 2 else sp.kx)) ** kappa.k1
     if kappa.k2:
@@ -222,9 +232,11 @@ def lp_norm(f: RealField, p: float) -> float:
 
 
 def spectral_l2_norm(F: SpectralField) -> float:
-    """L^2 norm evaluated from Fourier coefficients (Parseval)."""
+    """L^2 norm from half-plane coefficients (Parseval): interior ky columns count twice."""
     g = F.grid
-    return float(np.sqrt(np.sum(np.abs(F.coefficients) ** 2) * g.dx**2 / g.n**2))
+    c2 = np.abs(F.coefficients) ** 2
+    total = 2.0 * c2.sum() - c2[:, 0].sum() - c2[:, -1].sum()
+    return float(np.sqrt(total * g.dx**2 / g.n**2))
 
 
 def mean_value(f: RealField) -> float:

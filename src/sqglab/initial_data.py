@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .grid import GridSpec, RealField, apply_riesz_perp, apply_semigroup
+from .grid import GridSpec, RealField, _Spectra, apply_riesz_perp, apply_semigroup
 
 __all__ = [
     "gaussian_bump",
@@ -105,14 +105,10 @@ def power_tail(
 def random_band_limited(grid: GridSpec, seed: int, kmax_frac: float = 0.25, amplitude: float = 1.0) -> RealField:
     """Seeded random field with spectrum confined below kmax_frac of Nyquist."""
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    from scipy import fft as _fft
-
-    wh = _fft.fft2(white)
-    kx, ky = grid.wavenumbers()
+    sp = _Spectra.of(grid)
     kcut = kmax_frac * np.pi / grid.dx
-    mask = (np.abs(kx) <= kcut) & (np.abs(ky) <= kcut)
-    vals = np.real(_fft.ifft2(np.where(mask, wh, 0.0)))
+    mask = (np.abs(sp.kx) <= kcut) & (np.abs(sp.ky) <= kcut)
+    vals = sp.inverse(np.where(mask, sp.forward(rng.standard_normal(grid.shape)), 0.0))
     vals *= amplitude / max(np.abs(vals).max(), 1e-300)
     return RealField(grid, vals)
 

@@ -602,7 +602,7 @@ def kernel_lp_norm(
     if kappa.order == 0:
         vals = kernel_eval_radial(profile, t, rn)
         ang = 2 * np.pi
-        tail_mag = profile.tail_constant * t ** (1.0 + 0.0)  # p(t,r) ~ C t r^(-2-a)
+        tail_mag = profile.tail_constant * t  # p(t,r) ~ C t r^(-2-a)
         tail_pow = 2.0 + a
     else:
         z = rn * t ** (-1.0 / a)
@@ -611,8 +611,8 @@ def kernel_lp_norm(
         tail_mag = (2.0 + a) * profile.tail_constant * t
         tail_pow = 3.0 + a
     inner = ang * float(np.sum(vals**p * rn * jac * uw))
-    m_t = tail_mag * t ** (0.0)  # magnitude constant of |grad^k p(t, r)| ~ m r^(-tail_pow)
-    tail = ang * m_t**p * r_edge ** (2.0 - p * tail_pow) / (p * tail_pow - 2.0)
+    # tail_mag is the constant m of |grad^k p(t, r)| ~ m r^(-tail_pow)
+    tail = ang * tail_mag**p * r_edge ** (2.0 - p * tail_pow) / (p * tail_pow - 2.0)
     return float((inner + tail) ** (1.0 / p))
 
 

@@ -57,7 +57,6 @@ class RunConfig:
     id_angular: float = 0.0
     id_scales: int = 10
     id_path: str = ""
-    seed: int = 0
     # output
     output_dir: str = "run_output"
     # verification
@@ -190,7 +189,6 @@ def parse_config(text: str) -> RunConfig:
         id_angular=get("initial_data", "angular", float, d.id_angular),
         id_scales=get("initial_data", "scales", int, d.id_scales),
         id_path=get("initial_data", "path", str.strip, d.id_path),
-        seed=get("initial_data", "seed", int, d.seed),
         output_dir=get("output", "directory", str.strip, d.output_dir),
         checks=get("verification", "checks", _names, d.checks),
         window_fraction=get("verification", "window_fraction", float, d.window_fraction),
@@ -238,7 +236,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"angular = {cfg.id_angular!r}",
         f"scales = {cfg.id_scales}",
         f"path = {cfg.id_path}",
-        f"seed = {cfg.seed}",
         "",
         "[output]",
         f"directory = {cfg.output_dir}",

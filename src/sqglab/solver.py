@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import GridSpec, RealField, lp_norm
+from .grid import GridSpec, RealField, _Spectra, lp_norm
 from .special import TimeGrid
 
 __all__ = [
@@ -131,56 +130,35 @@ class PicardResult:
 
 
 class _Stepper:
-    """rfft-layout workspace for one (grid, alpha) pair."""
+    """IF-RK4 workspace for one (grid, alpha) pair on the grid's shared rfft2 table."""
 
     def __init__(self, grid: GridSpec, alpha: float, dealias: bool = True, nonlinear: bool = True):
         self.grid = grid
-        self.alpha = alpha
+        self.sp = _Spectra.of(grid)
+        self.forward, self.inverse = self.sp.forward, self.sp.inverse
         self.dealias = dealias
         self.nonlinear_enabled = nonlinear
-        n, dx = grid.n, grid.dx
-        kx = 2 * np.pi * _fft.fftfreq(n, d=dx)
-        ky = 2 * np.pi * _fft.rfftfreq(n, d=dx)
-        self.kx = kx[:, None]
-        self.ky = ky[None, :]
-        kx_odd = kx.copy()
-        kx_odd[n // 2] = 0.0
-        ky_odd = ky.copy()
-        ky_odd[-1] = 0.0
-        self.kx_odd = kx_odd[:, None]
-        self.ky_odd = ky_odd[None, :]
-        self.kmod = np.hypot(self.kx, self.ky)
-        self.symbol = self.kmod**alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.riesz1 = np.where(self.kmod > 0, 1j * self.kx_odd / self.kmod, 0.0)
-            self.riesz2 = np.where(self.kmod > 0, 1j * self.ky_odd / self.kmod, 0.0)
-        cut = (n // 3) * (2 * np.pi / grid.box_length)
-        self.mask = (np.abs(self.kx) <= cut + 1e-12) & (np.abs(self.ky) <= cut + 1e-12)
+        self.symbol = self.sp.kmod**alpha
         self._exp_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return _fft.rfft2(values)
-
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return _fft.irfft2(coeffs, s=self.grid.shape)
-
     def velocity(self, th_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.inverse(-self.riesz2 * th_hat), self.inverse(self.riesz1 * th_hat)
+        return self.inverse(-self.sp.riesz2 * th_hat), self.inverse(self.sp.riesz1 * th_hat)
 
     def nonlinear(self, th_hat: np.ndarray) -> np.ndarray:
         """-div(R_perp(theta) theta), dealiased flux, zero mean."""
         if not self.nonlinear_enabled:
             return np.zeros_like(th_hat)
+        sp = self.sp
         if self.dealias:
-            th_hat = np.where(self.mask, th_hat, 0.0)
+            th_hat = np.where(sp.dealias_mask, th_hat, 0.0)
         u1, u2 = self.velocity(th_hat)
         th = self.inverse(th_hat)
         f1 = self.forward(u1 * th)
         f2 = self.forward(u2 * th)
         if self.dealias:
-            f1 = np.where(self.mask, f1, 0.0)
-            f2 = np.where(self.mask, f2, 0.0)
-        return -(1j * self.kx_odd * f1 + 1j * self.ky_odd * f2)
+            f1 = np.where(sp.dealias_mask, f1, 0.0)
+            f2 = np.where(sp.dealias_mask, f2, 0.0)
+        return -(1j * sp.kx_odd * f1 + 1j * sp.ky_odd * f2)
 
     def _exps(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         if self._exp_cache is None or self._exp_cache[0] != dt:
@@ -272,9 +250,7 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
     snaps: list[tuple[float, RealField]] = [(0.0, theta0)]
     rec, umax = _diagnostics(st, th_hat, 0.0, config.alpha)
     records = [rec]
-    marks = [s for s in config.snapshot_times if s > 0]
-    targets = sorted(set(marks + [config.t_end])) if config.t_end > 0 else []
-    for target in targets:
+    for target in _snapshot_targets(config):
         while t < target - 1e-13:
             dt = min(config.dt, target - t)
             if config.nonlinear:
@@ -285,18 +261,22 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
             records.append(rec)
             if not np.isfinite(rec.linf):
                 raise BlowUpError(f"non-finite field at t={t:.6g}")
-        if any(abs(target - s) < 1e-12 for s in marks) or target == config.t_end:
-            snaps.append((t, RealField(config.grid, st.inverse(th_hat))))
+        snaps.append((t, RealField(config.grid, st.inverse(th_hat))))
     return SimulationResult(config, tuple(snaps), tuple(records))
+
+
+def _snapshot_targets(config: SolverConfig) -> list[float]:
+    """Positive snapshot times plus t_end, ascending; the t = 0 snapshot is implicit."""
+    if config.t_end <= 0:
+        return []
+    return sorted(set([s for s in config.snapshot_times if s > 0] + [config.t_end]))
 
 
 def _run_picard(config: SolverConfig, theta0: RealField) -> SimulationResult:
     st = _Stepper(config.grid, config.alpha, config.dealias, config.nonlinear)
     snaps: list[tuple[float, RealField]] = [(0.0, theta0)]
     records = [_diagnostics(st, st.forward(theta0.values), 0.0, config.alpha)[0]]
-    for ts in config.snapshot_times:
-        if ts <= 0:
-            continue
+    for ts in _snapshot_targets(config):
         tg = TimeGrid(ts, a=1.0 / config.alpha, b=0.0, m=48)
         res = picard_iterate(theta0, ts, 8, tg, config)
         snaps.append((ts, res.theta))

@@ -56,6 +56,9 @@ class TestRunConfig:
         again = parse_config(text)
         assert again == cfg
         assert serialize_config(again) == text
+        # run directories written before the unused seed field was dropped still load
+        old = BASE_CONFIG.format(out="x").replace("aspect = 2.0", "aspect = 2.0\nseed = 0")
+        assert parse_config(old) == cfg
 
     def test_power_tail_integrability_guard(self):
         text = BASE_CONFIG.format(out="x").replace(
@@ -199,6 +202,15 @@ class TestVerifyCli:
         cfgfile.write_text(text)
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert run_cli("verify", "--run", out) == 1
+
+    def test_limits_without_positive_snapshots(self, tmp_path, capsys):
+        out = tmp_path / "t0"
+        cfgfile = tmp_path / "t0.cfg"
+        text = BASE_CONFIG.format(out=out).replace("t_end = 0.3", "t_end = 0.0")
+        cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times ="))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        assert run_cli("verify", "--run", out, "--checks", "limits") == 2
+        assert "limits" in capsys.readouterr().err
 
 
 class TestKernelCli:

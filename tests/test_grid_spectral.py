@@ -81,10 +81,19 @@ class TestTransforms:
         with pytest.raises(ValueError, match="non-finite"):
             transform_forward(RealField(grid_2pi, vals))
 
-    def test_parseval(self, grid_small):
-        f = make_random_field(grid_small, 3)
+    @pytest.mark.parametrize("band", ["limited", "full"])
+    def test_parseval(self, grid_small, band):
+        if band == "limited":
+            f = make_random_field(grid_small, 3)
+        else:
+            # white noise carries energy in the Nyquist column, which the
+            # half-plane sum must count once, like the ky = 0 column
+            f = RealField(grid_small, np.random.default_rng(3).standard_normal(grid_small.shape))
+        F = transform_forward(f)
+        nyquist = np.abs(F.coefficients[:, -1]).max()
+        assert (nyquist > 1.0) if band == "full" else (nyquist < 1e-10)
         a = lp_norm(f, 2)
-        b = spectral_l2_norm(transform_forward(f))
+        b = spectral_l2_norm(F)
         assert abs(a - b) / a < 1e-10
 
 

@@ -231,6 +231,18 @@ class TestPicard:
         b = rk.snapshot_at(0.05).values
         assert np.abs(a - b).max() < 1e-3 * np.abs(b).max()
 
+    def test_schemes_share_snapshot_times(self):
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        times = {}
+        for scheme in ("ifrk4", "picard"):
+            res = run_simulation(cfg_for(g, scheme=scheme, t_end=0.3, snapshot_times=(0.1,)), th0)
+            times[scheme] = [t for t, _ in res.snapshots]
+            if scheme == "picard":
+                assert [r.time for r in res.diagnostics] == times[scheme]
+        assert np.allclose(times["picard"], [0.0, 0.1, 0.3], rtol=0, atol=1e-12)
+        assert np.allclose(times["ifrk4"], times["picard"], rtol=0, atol=1e-12)
+
 
 class TestDecayEnvelope:
     def test_scaled_norms_no_late_growth(self):

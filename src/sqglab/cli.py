@@ -238,8 +238,8 @@ def _cmd_special(args) -> int:
 
 def _cmd_fit(args) -> int:
     run_dir = Path(args.run)
-    cfg, _ = _load_run(run_dir)
-    recs = read_diagnostics(run_dir / "diagnostics.csv")
+    cfg, result = _load_run(run_dir)
+    recs = result.diagnostics
     ts = np.array([r.time for r in recs])
     vs = np.array([getattr(r, args.quantity) for r in recs])
     keep = np.ones_like(ts, dtype=bool)

@@ -52,20 +52,25 @@ def write_snapshot(path, field: RealField, t: float, alpha: float) -> None:
         fh.write(np.asarray(field.values, "<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    """The next ``size`` bytes of a binary file; a short read names the file."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: file is truncated (wanted {size} bytes, found {len(data)})")
+    return data
+
+
 def read_snapshot(path) -> tuple[RealField, float, float]:
     """Returns (field, t, alpha)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not a snapshot file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        (L,) = struct.unpack("<d", fh.read(8))
-        (t,) = struct.unpack("<d", fh.read(8))
-        (alpha,) = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(8 * n * n), "<f8").reshape(n, n).copy()
+        n, L, t, alpha = struct.unpack("<Iddd", _read_exact(fh, 28, path))
+        data = np.frombuffer(_read_exact(fh, 8 * n * n, path), "<f8").reshape(n, n).copy()
     return RealField(GridSpec(n, L), data), t, alpha
 
 

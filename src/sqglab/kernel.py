@@ -7,10 +7,13 @@ by Hankel inversion,
     p(1, r) = (2*pi)^(-1) * int_0^inf exp(-s^alpha) J_0(s r) s ds,
 
 integrated panel-by-panel between Bessel zeros with Gauss-Legendre rules and
-a power substitution that removes the s^alpha cusp at the origin.  Other
-times follow from the exact scaling p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).
-Beyond the tabulated radius the profile is served by the one-term power
-asymptotic C * r^(-2-alpha) matched continuously at r_max.
+a power substitution that removes the s^alpha cusp at the origin.  One node
+builder, ``_hankel_nodes``, serves both the profile and the whole-space
+Gaussian semigroup, and every panel comes from ``special._gauss_panels``.
+Other times follow from the exact scaling
+p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  Beyond the tabulated radius the
+profile and its derivatives are served by one-term power asymptotics, the
+first C * r^(-2-alpha) matched continuously at r_max.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from scipy import special as _sp
 from scipy.interpolate import PchipInterpolator
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz
+from .io import _read_exact
+from .special import _gauss_panels
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -58,16 +63,6 @@ class QuadratureConvergenceError(RuntimeError):
 # Hankel inversion machinery
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[order]
-
-
 _J0_ZEROS_EXACT = _sp.jn_zeros(0, 20)
 
 
@@ -88,16 +83,18 @@ def _s_cutoff(alpha: float, s_power: int) -> float:
     return (target + s_power * math.log(s0 + 1.0)) ** (1.0 / alpha)
 
 
-def _panel_nodes(alpha: float, r: float, s_power: int, order: int):
-    """Quadrature nodes/weights for int_0^S exp(-s^alpha) (...) ds at radius r.
+def _cusp_power(alpha: float) -> int:
+    """q of the substitution s = w^q that smooths exp(-s^alpha) at s = 0."""
+    return max(2, math.ceil(4.0 / alpha))
+
+
+def _hankel_nodes(S: float, r: float, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes/weights for int_0^S f(s) J_0(s r) ds at radius r.
 
     The first stretch [0, s_split] uses the substitution s = w^q that removes
-    the fractional cusp of exp(-s^alpha); the oscillatory remainder is split
+    a fractional cusp of f at the origin; the oscillatory remainder is split
     at the scaled Bessel zeros.
     """
-    glx, glw = _gl(order)
-    S = _s_cutoff(alpha, s_power)
-    q = max(2, math.ceil(4.0 / alpha))
     if r * S < np.pi:
         s_split, tail_edges = S, None
     else:
@@ -108,25 +105,31 @@ def _panel_nodes(alpha: float, r: float, s_power: int, order: int):
         else:
             s_split = min(z[0], S / 4)
             tail_edges = np.concatenate([[s_split], z[z > s_split], [S]])
-    ew = np.linspace(0.0, s_split ** (1.0 / q), 17)
-    aw, hw = ew[:-1], np.diff(ew)
-    wn = (aw[:, None] + hw[:, None] * glx[None, :]).ravel()
-    ww = (hw[:, None] * glw[None, :]).ravel()
+    wn, ww = _gauss_panels(np.linspace(0.0, s_split ** (1.0 / q), 17), order)
     nodes = wn**q
     weights = ww * q * wn ** (q - 1)
     if tail_edges is not None:
-        a, h = tail_edges[:-1], np.diff(tail_edges)
-        tn = (a[:, None] + h[:, None] * glx[None, :]).ravel()
-        tw = (h[:, None] * glw[None, :]).ravel()
+        tn, tw = _gauss_panels(tail_edges, order)
         nodes = np.concatenate([nodes, tn])
         weights = np.concatenate([weights, tw])
     return nodes, weights
 
 
+def _damped_nodes(alpha: float, r: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights exp(-s^alpha) w of the unit-time profile integrals."""
+    s, w = _hankel_nodes(_s_cutoff(alpha, 3), r, _cusp_power(alpha), order)
+    return s, np.exp(-(s**alpha)) * w
+
+
+def _radial_value(alpha: float, r: float, order: int = 12) -> float:
+    """g(r) of the unit-time kernel profile: the J0 moment alone."""
+    s, damp = _damped_nodes(alpha, r, order)
+    return float(np.sum(damp * _sp.j0(s * r) * s) / (2 * np.pi))
+
+
 def _radial_triplet(alpha: float, r: float, order: int = 12) -> tuple[float, float, float]:
     """(g, g', g'') of the unit-time kernel profile at radius r >= 0."""
-    s, w = _panel_nodes(alpha, r, s_power=3, order=order)
-    damp = np.exp(-(s**alpha)) * w
+    s, damp = _damped_nodes(alpha, r, order)
     sr = s * r
     j0 = _sp.j0(sr)
     j1 = _sp.j1(sr)
@@ -188,6 +191,16 @@ def _default_r_max(alpha: float, mass_tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _table_or_tail(r, r_max: float, table, tail_coef: float, tail_power: float) -> np.ndarray:
+    """``table(log1p(r))`` up to r_max, the power tail ``tail_coef * r^(-tail_power)`` beyond."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    inside = r <= r_max
+    out[inside] = table(np.log1p(r[inside]))
+    out[~inside] = tail_coef * r[~inside] ** (-tail_power)
+    return out
+
+
 @dataclass(frozen=True)
 class KernelProfile:
     """Tabulated radial profile of the unit-time kernel with tail model."""
@@ -209,21 +222,14 @@ class KernelProfile:
     def __call__(self, r) -> np.ndarray:
         """p(1, r); one-term power tail beyond the tabulated range."""
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        inside = r <= self.r_max
-        out[inside] = np.exp(self._interp(np.log1p(r[inside])))
-        out[~inside] = self.tail_constant * r[~inside] ** (-self.tail_exponent)
-        return float(out[0]) if scalar else out
+        out = _table_or_tail(
+            r, self.r_max, lambda u: np.exp(self._interp(u)), self.tail_constant, self.tail_exponent
+        )
+        return float(out[0]) if r.ndim == 0 else out
 
     def total_mass(self, order: int = 16) -> float:
         """2*pi int_0^inf p(1,r) r dr, tabulated part plus tail closed form."""
-        glx, glw = _gl(order)
-        u = np.log1p(self.radii)
-        a, h = u[:-1], np.diff(u)
-        un = (a[:, None] + h[:, None] * glx[None, :]).ravel()
-        uw = (h[:, None] * glw[None, :]).ravel()
+        un, uw = _gauss_panels(np.log1p(self.radii), order)
         rn = np.expm1(un)
         pn = np.exp(self._interp(un))
         inner = 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw))
@@ -272,14 +278,14 @@ def build_profile(
     n_nodes = len(u)
     radii = np.expm1(u)
     radii[-1] = r_max
-    vals = np.array([_radial_triplet(alpha, r)[0] for r in radii])
+    vals = np.array([_radial_value(alpha, r) for r in radii])
     if np.any(vals <= 0):
         raise QuadratureConvergenceError("kernel profile lost positivity")
     if np.any(np.diff(vals) >= 0):
         raise QuadratureConvergenceError("kernel profile lost monotonicity")
     check_idx = np.unique(np.linspace(0, n_nodes - 1, 25).astype(int))
     for i in check_idx:
-        ref = _radial_triplet(alpha, radii[i], order=18)[0]
+        ref = _radial_value(alpha, radii[i], order=18)
         # the absolute term allows for roundoff in the cancelling lobe sums
         if abs(vals[i] - ref) > tol * abs(ref) + 1e-16:
             raise QuadratureConvergenceError(
@@ -292,11 +298,9 @@ def build_profile(
 
 def kernel_eval(profile: KernelProfile, t: float, x) -> np.ndarray | float:
     """p(t, x) via the exact scaling relation; ``x`` is a point or (..., 2) array."""
-    if t <= 0:
-        raise ValueError(f"kernel time must be positive, got {t}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.hypot(x[..., 0], x[..., 1])
-    out = t ** (-2.0 / profile.alpha) * profile(r * t ** (-1.0 / profile.alpha))
+    out = kernel_eval_radial(profile, t, r)
     return float(out[0]) if out.size == 1 else out.reshape(np.shape(r))
 
 
@@ -337,22 +341,14 @@ class KernelDerivativeProfile:
         object.__setattr__(self, "_c_interp", c_interp)
 
     def _h(self, r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        inside = r <= self.r_max
-        out[inside] = -np.exp(self._h_interp(np.log1p(r[inside])))
         tail = -(2.0 + self.alpha) * self.tail_constant
-        out[~inside] = tail * r[~inside] ** (-(4.0 + self.alpha))
-        return out
+        return _table_or_tail(
+            r, self.r_max, lambda u: -np.exp(self._h_interp(u)), tail, 4.0 + self.alpha
+        )
 
     def _c(self, r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        inside = r <= self.r_max
-        out[inside] = self._c_interp(np.log1p(r[inside]))
         tail = (2.0 + self.alpha) * (3.0 + self.alpha) * self.tail_constant
-        out[~inside] = tail * r[~inside] ** (-(4.0 + self.alpha))
-        return out
+        return _table_or_tail(r, self.r_max, self._c_interp, tail, 4.0 + self.alpha)
 
     def eval_unit_time(self, x: np.ndarray, kappa: MultiIndex | None = None) -> np.ndarray:
         """grad^kappa p(1, x) for points x of shape (..., 2)."""
@@ -554,17 +550,8 @@ def gaussian_semigroup_radial(alpha: float, sigma: float, t: float, r, order: in
     s_stable = (A / t) ** (1.0 / alpha) if t > 0 else np.inf
     S = min(s_gauss, s_stable)
     out = np.empty_like(r)
-    glx, glw = _gl(order)
     for i, ri in enumerate(r):
-        if ri * S < np.pi:
-            edges = np.linspace(0.0, S, 33)
-        else:
-            z = _j0_zeros(int(np.ceil(S * ri / np.pi)) + 2) / ri
-            z = z[z < S]
-            edges = np.unique(np.concatenate([np.linspace(0, min(z[0], S / 4), 9), z, [S]]))
-        a, h = edges[:-1], np.diff(edges)
-        s = (a[:, None] + h[:, None] * glx[None, :]).ravel()
-        w = (h[:, None] * glw[None, :]).ravel()
+        s, w = _hankel_nodes(S, ri, _cusp_power(alpha), order)
         expo = -0.5 * sigma**2 * s**2 - (t * s**alpha if t > 0 else 0.0)
         out[i] = sigma**2 * np.sum(np.exp(expo) * _sp.j0(s * ri) * s * w)
     return out
@@ -592,11 +579,7 @@ def kernel_lp_norm(
         rr = np.expm1(np.linspace(0, np.log1p(r_edge), n_radial))
         comp = np.abs(dprofile._h(rr * t ** (-1.0 / a)) * rr * t ** (-1.0 / a))
         return float(comp.max() * t ** (-(2.0 + 1.0) / a))
-    u = np.linspace(0.0, np.log1p(r_edge), n_radial)
-    glx, glw = _gl(12)
-    aa, hh = u[:-1], np.diff(u)
-    un = (aa[:, None] + hh[:, None] * glx[None, :]).ravel()
-    uw = (hh[:, None] * glw[None, :]).ravel()
+    un, uw = _gauss_panels(np.linspace(0.0, np.log1p(r_edge), n_radial), 12)
     rn = np.expm1(un)
     jac = rn + 1.0
     if kappa.order == 0:
@@ -636,15 +619,13 @@ def save_profile(profile: KernelProfile, path) -> None:
 
 def load_profile(path) -> KernelProfile:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_exact(fh, 4, path)
         if magic != PROFILE_MAGIC:
             raise ValueError(f"{path}: not a kernel profile file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != PROFILE_VERSION:
             raise ValueError(f"{path}: unsupported profile version {version}")
-        (alpha,) = struct.unpack("<d", fh.read(8))
-        (r_max,) = struct.unpack("<d", fh.read(8))
-        (count,) = struct.unpack("<I", fh.read(4))
-        radii = np.frombuffer(fh.read(8 * count), "<f8").copy()
-        values = np.frombuffer(fh.read(8 * count), "<f8").copy()
+        alpha, r_max, count = struct.unpack("<ddI", _read_exact(fh, 20, path))
+        radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
+        values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
     return KernelProfile(alpha, r_max, radii, values, _fit_tail_constant(radii, values, alpha))

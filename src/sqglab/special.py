@@ -9,6 +9,7 @@ smoothing operator built on a graded product-quadrature time grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special as _sp
 
-from .grid import RealField
+from .grid import RealField, _freeze
 
 __all__ = [
     "beta",
@@ -35,11 +36,16 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of the given order on [0, 1], read-only."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    return _freeze(0.5 * (gx + 1.0)), _freeze(0.5 * gw)
+
+
 def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on a union of panels."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
+    gx, gw = _gauss_rule(order)
     a = edges[:-1]
     h = np.diff(edges)
     nodes = (a[:, None] + h[:, None] * gx[None, :]).ravel()
@@ -199,18 +205,13 @@ class TimeGrid:
         q = self.grading
         g = u**q / (u**q + (1.0 - u) ** q)  # symmetric grading toward both ends
         nodes = self.t_end * g
-        object.__setattr__(self, "nodes", _ro(nodes))
-        object.__setattr__(self, "weights", _ro(product_weights(nodes, self.t_end, self.a, self.b)))
+        object.__setattr__(self, "nodes", _freeze(nodes))
+        weights = product_weights(nodes, self.t_end, self.a, self.b)
+        object.__setattr__(self, "weights", _freeze(weights))
 
     def weight_sum_exact(self) -> float:
         """Closed form of int_0^t (t-s)^(-a) s^(-b) ds."""
         return self.t_end ** (1.0 - self.a - self.b) * beta(1.0 - self.b, 1.0 - self.a)
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def apply_T_gamma(

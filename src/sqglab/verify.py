@@ -168,7 +168,10 @@ def limit_scan(
         raise ValueError(f"unknown scan mode {mode!r}")
     grid = result.config.grid
     if annuli is None:
-        annuli = np.linspace(0.0, window_radius, 6)
+        # the core holds theta ~ P_t theta0 ~ theta0 and says nothing about
+        # |x| -> inf, so the default scan starts outside it, as criterion 7
+        # does (from r = 3 on a window of 10)
+        annuli = np.linspace(0.3 * window_radius, window_radius, 6)
     annuli = np.asarray(annuli, dtype=float)
     X, Y = grid.centered_coordinates()
     R = np.hypot(X, Y)

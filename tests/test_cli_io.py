@@ -113,6 +113,17 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="junk.sqgf"):
             read_snapshot(p)
 
+    def test_every_truncation_names_file(self, tmp_path):
+        g = GridSpec(16, 5.0)
+        full = tmp_path / "full.sqgf"
+        write_snapshot(full, RealField(g, np.ones(g.shape)), t=0.2, alpha=1.5)
+        data = full.read_bytes()
+        cut = tmp_path / "cut.sqgf"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match="cut.sqgf"):
+                read_snapshot(cut)
+
 
 class TestDiagnosticsIO:
     def test_round_trip(self, tmp_path):
@@ -338,6 +349,23 @@ class TestFromFileInitialData:
         f, t, _ = read_snapshot(first)
         assert t == 0.0
         assert np.array_equal(f.values, th0.values)
+
+    @pytest.mark.parametrize("keep", [20, 40 + 8 * 10])
+    def test_truncated_seed_is_usage_error(self, tmp_path, capsys, keep):
+        # cut inside the header, then inside the payload
+        from sqglab.io import write_snapshot
+
+        g = GridSpec(64, 20.0)
+        seed_file = tmp_path / "seed.sqgf"
+        write_snapshot(seed_file, RealField(g, np.ones(g.shape)), t=0.0, alpha=1.5)
+        seed_file.write_bytes(seed_file.read_bytes()[:keep])
+        cfgfile = tmp_path / "ff.cfg"
+        text = BASE_CONFIG.format(out=tmp_path / "ff").replace(
+            "kind = gaussian", f"kind = from_file\npath = {seed_file}"
+        )
+        cfgfile.write_text(text)
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert "seed.sqgf" in capsys.readouterr().err
 
 
 def test_kernel_cli_gaussian_endpoint_value(tmp_path):

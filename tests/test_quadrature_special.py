@@ -115,6 +115,19 @@ class TestLemmaTechIntegral:
             radial_singular_integral(1.5, 1.0, v)
 
 
+def test_cached_panel_rule_is_read_only():
+    from sqglab.special import _gauss_panels, _gauss_rule
+
+    gx, gw = _gauss_rule(12)
+    with pytest.raises(ValueError):
+        gx[0] = 0.0
+    with pytest.raises(ValueError):
+        gw[0] = 0.0
+    # a rule of order n is exact on polynomials of degree 2n - 1
+    nodes, weights = _gauss_panels(np.array([0.0, 0.5, 2.0]), 12)
+    assert np.sum(weights * nodes**23) == pytest.approx(2.0**24 / 24, rel=1e-13)
+
+
 class TestTimeGrid:
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (2 / 3, 0.0), (2 / 3, 0.55), (0.3, 0.9)])
     def test_exact_on_constants(self, a, b):

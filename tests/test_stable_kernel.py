@@ -6,6 +6,7 @@ from scipy import special as sp
 
 from sqglab.grid import GridSpec, MultiIndex, RealField, apply_semigroup
 from sqglab.kernel import (
+    KernelProfile,
     QuadratureConvergenceError,
     build_derivative_profile,
     build_profile,
@@ -340,6 +341,31 @@ class TestLevyDensity:
             levy_density(np.array([0.0, 0.0]), 1.5)
 
 
+class TestGaussianSemigroupClosedForm:
+    # the radii and times of the TestSemigroupLpEstimates sweeps
+    RADII = np.concatenate([[0.0], np.geomspace(1e-2, 400.0, 300)])
+    TIMES = np.geomspace(1e-2, 1e2, 9)
+
+    @pytest.mark.parametrize("sig", [0.5, 1.0, 2.0])
+    def test_heat_semigroup_at_alpha_two(self, sig):
+        # P_t is the heat semigroup of variance 2t per axis at alpha = 2.  The
+        # bound is 5e-11, not 1e-11: just above r = pi/S the first Bessel-zero
+        # panel [S/4, j_0,1/r] is wide for 12 nodes and leaves up to 2e-11
+        # (sigma = 0.5, t = 0.1, r = 0.17)
+        for t in self.TIMES:
+            var = sig**2 + 2 * t
+            exact = sig**2 / var * np.exp(-self.RADII**2 / (2 * var))
+            got = gaussian_semigroup_radial(2.0, sig, float(t), self.RADII)
+            assert np.max(np.abs(got - exact)) <= 5e-11
+
+    @pytest.mark.parametrize("sig", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+    def test_identity_at_time_zero(self, alpha, sig):
+        exact = np.exp(-self.RADII**2 / (2 * sig**2))
+        got = gaussian_semigroup_radial(alpha, sig, 0.0, self.RADII)
+        assert np.max(np.abs(got - exact)) <= 1e-11
+
+
 class TestSemigroupLpEstimates:
     def test_scaled_sup_norm_vanishes_at_both_ends(self):
         # t^((alpha-1)/alpha) ||P_t f||_inf peaks in the interior of the sweep
@@ -395,6 +421,18 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError, match="magic"):
             load_profile(path)
+
+    def test_every_truncation_names_file(self, tmp_path):
+        radii = np.expm1(np.linspace(0.0, np.log1p(4.0), 6))
+        small = KernelProfile(1.5, 4.0, radii, np.exp(-radii), 1.0)
+        full = tmp_path / "full.sqgk"
+        save_profile(small, full)
+        data = full.read_bytes()
+        cut = tmp_path / "cut.sqgk"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match="cut.sqgk"):
+                load_profile(cut)
 
 
 def test_riesz_bound_time_scaling_invariance(profile15):

@@ -112,6 +112,16 @@ class TestLimitScan:
         assert scan.extreme_is_minimum
         assert scan.values[-1] < scan.values[0]
 
+    def test_default_annulus_scan_skips_core(self):
+        # criterion-7 bump at alpha = 1.8: the innermost annulus holds
+        # theta ~ P_t theta0 ~ theta0 and is not part of the |x| -> inf limit
+        g = GridSpec(128, 40.0)
+        th0 = gaussian_bump(g, amplitude=0.25, width=1.0, aspect=2.0)
+        cfg = SolverConfig(alpha=1.8, dt=0.2, t_end=1.0, grid=g, snapshot_times=(0.1, 0.3, 1.0))
+        scan = limit_scan(run_simulation(cfg, th0), X_TO_INF, window_radius=10.0)
+        assert scan.extreme_is_minimum
+        assert scan.coordinates[0] >= 3.0
+
     def test_unknown_mode(self, linear_run):
         with pytest.raises(ValueError):
             limit_scan(linear_run, "SIDEWAYS", 5.0)

@@ -6,7 +6,7 @@ configured evolution and persist snapshots plus diagnostics), ``verify``
 (turn a run directory into a pass/fail verdict report), ``special``
 (special-function and singular-integral studies), ``fit`` (decay-exponent
 fits on a diagnostics series).  Exit codes: 0 success, 1 check failure,
-2 usage or configuration error.
+2 usage or configuration error, or a run the solver cannot complete.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .io import (
     write_verdicts,
 )
 from .runconfig import ConfigError, RunConfig, parse_config_file, serialize_config
-from .solver import SimulationResult, run_simulation
+from .solver import BlowUpError, CflViolationError, PicardDivergenceError, SimulationResult, run_simulation
 from .verify import VerdictRow
 
 USAGE_ERROR = 2
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, OSError) as e:
+    except (ConfigError, FileNotFoundError, ValueError, OSError,
+            PicardDivergenceError, BlowUpError, CflViolationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

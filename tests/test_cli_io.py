@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqglab
 from sqglab.cli import main
 from sqglab.grid import GridSpec, RealField
 from sqglab.io import (
@@ -167,6 +172,22 @@ class TestSimulateCli:
         cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "o").replace("alpha = 1.5", "alpha = 2.5"))
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_solver_error_exit_two(self, tmp_path):
+        # a Picard run far outside the contraction regime is reported as an
+        # error line with exit 2 (exit 1 means a failed check), not a traceback
+        cfgfile = tmp_path / "div.cfg"
+        text = BASE_CONFIG.format(out=tmp_path / "div").replace("scheme = ifrk4", "scheme = picard")
+        text = text.replace("t_end = 0.3", "t_end = 5.0").replace("amplitude = 0.4", "amplitude = 30.0")
+        cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times ="))
+        src = str(Path(sqglab.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqglab.cli", "simulate", "--config", str(cfgfile)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Picard iterate distances grew")
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCli:

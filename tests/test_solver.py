@@ -15,6 +15,7 @@ from sqglab.grid import (
     transform_inverse,
 )
 from sqglab.initial_data import gaussian_bump, multiscale_ladder
+import sqglab.solver as solver
 from sqglab.solver import (
     BlowUpError,
     CflViolationError,
@@ -42,6 +43,29 @@ def bump128(grid128):
 
 def cfg_for(grid, alpha=1.5, dt=0.05, t_end=0.1, **kw):
     return SolverConfig(alpha=alpha, dt=dt, t_end=t_end, grid=grid, **kw)
+
+
+def direct_picard(theta0, t, n_iter, tg, cfg):
+    """Reference Picard iterates from the O(m^2) product rule: every
+    (target node, interval) pair decayed to the target and summed directly."""
+    st = solver._Stepper(cfg.grid, cfg.alpha, cfg.dealias, cfg.nonlinear)
+    mu = st.symbol
+    nodes = np.concatenate([[0.0], tg.nodes, [t]])
+    th0 = st.forward(theta0.values)
+    prop = [np.exp(-s * mu) * th0 for s in nodes]
+    iterates = list(prop)
+    for _ in range(n_iter):
+        G = [-st.nonlinear(th) for th in iterates]
+        new = []
+        for j, s in enumerate(nodes):
+            acc = np.zeros_like(th0)
+            for i in range(j):
+                h = nodes[i + 1] - nodes[i]
+                w = np.exp(-mu * (s - nodes[i + 1])) * h
+                acc += w * solver._phi0(mu * h) * G[i] + w * solver._phi1(mu * h) * (G[i + 1] - G[i])
+            new.append(prop[j] - acc)
+        iterates = new
+    return st.inverse(iterates[-1])
 
 
 class TestConfigValidation:
@@ -214,6 +238,44 @@ class TestPicard:
         good = lp_norm(RealField(grid128, pic.theta.values - rk.values), 2)
         bad = lp_norm(RealField(grid128, flipped - rk.values), 2)
         assert bad > 100 * good
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_closed_grid_matches_stepper(self, grid128, bump128, alpha):
+        # the node grid ends at t itself, so no interval of [0, t] is left out
+        # of the Duhamel integral; the criterion-5 comparison then sits far
+        # below its 1e-3 bound
+        cfg = cfg_for(grid128, alpha=alpha, dt=0.005, t_end=0.1, snapshot_times=(0.1,))
+        rk = run_simulation(cfg, bump128).snapshot_at(0.1)
+        tg = TimeGrid(0.1, a=1 / alpha, b=0.0, m=48)
+        pic = picard_iterate(bump128, 0.1, 8, tg, cfg)
+        rel = lp_norm(RealField(grid128, pic.theta.values - rk.values), 2) / lp_norm(rk, 2)
+        assert pic.converged
+        assert rel < 1e-7
+
+    @pytest.mark.parametrize("n_iter", [1, 2])
+    def test_recurrence_matches_direct_sum(self, n_iter):
+        # the second iteration reads the first one's value on every node, so
+        # n_iter = 2 checks the sweep at all nodes, not only at t
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=1.0, width=1.5, aspect=2.0)
+        cfg = cfg_for(g)
+        tg = TimeGrid(0.1, a=1 / 1.5, b=0.0, m=12)
+        want = direct_picard(th0, 0.1, n_iter, tg, cfg)
+        got = picard_iterate(th0, 0.1, n_iter, tg, cfg).theta.values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_unconverged_scheme_run_raises(self, monkeypatch):
+        # two iterates cannot show three shrinking distances, so the run must
+        # not write a snapshot from them
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        cfg = cfg_for(g, scheme="picard", t_end=0.3, snapshot_times=(0.1,))
+        tg = TimeGrid(0.1, a=1 / 1.5, b=0.0, m=48)
+        assert not picard_iterate(th0, 0.1, 2, tg, cfg).converged
+        real = solver.picard_iterate
+        monkeypatch.setattr(solver, "picard_iterate", lambda th, t, n, tg, c: real(th, t, 2, tg, c))
+        with pytest.raises(PicardDivergenceError, match=r"t=0\.1 did not converge"):
+            run_simulation(cfg, th0)
 
     def test_horizon_mismatch_rejected(self, grid128, bump128):
         cfg = cfg_for(grid128)

@@ -21,7 +21,6 @@ import numpy as np
 from . import kernel as _kernel
 from . import special as _special
 from . import verify as _verify
-from .grid import MultiIndex, RealField, apply_semigroup
 from .io import (
     format_verdict_table,
     read_diagnostics,
@@ -29,9 +28,8 @@ from .io import (
     write_run,
     write_verdicts,
 )
-from .runconfig import ConfigError, RunConfig, parse_config_file, serialize_config
+from .runconfig import ConfigError, RunConfig, _names, parse_config_file, serialize_config
 from .solver import BlowUpError, CflViolationError, PicardDivergenceError, SimulationResult, run_simulation
-from .verify import VerdictRow
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -97,105 +95,17 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
     return cfg, result
 
 
-def _run_checks(cfg: RunConfig, result: SimulationResult, checks) -> list[VerdictRow]:
-    rows: list[VerdictRow] = []
-    recs = result.diagnostics
-    window = cfg.window_fraction * cfg.box_length
-
-    if "max_principle" in checks:
-        for col in ("linf", "l2"):
-            vals = np.array([getattr(r, col) for r in recs])
-            scale = np.maximum(vals[:-1], 1e-300)
-            worst = float(np.max(np.diff(vals) / scale)) if len(vals) > 1 else 0.0
-            rows.append(VerdictRow(f"max_principle_{col}", worst, "<= 1e-6 per step", worst <= 1e-6))
-
-    if "mass_conservation" in checks:
-        means = np.array([r.mean for r in recs])
-        scale = max(abs(means[0]), 1e-300)
-        worst = float(np.max(np.abs(means - means[0])) / scale)
-        rows.append(VerdictRow("mass_conservation", worst, "<= 1e-10 relative", worst <= 1e-10))
-
-    if "ratio" in checks:
-        worst = 1.0
-        for t, th, pt in _verify.semigroup_reference(result):
-            d = _verify.ratio_diagnostics(th, pt, window, cfg.floor_frac, time=t)
-            if not (np.isfinite(d.sup_ratio) and d.inf_ratio > 0):
-                worst = np.inf
-                break
-            worst = max(worst, d.sup_ratio / d.inf_ratio)
-        rows.append(
-            VerdictRow("ratio_comparability", worst, f"sup/inf < {cfg.ratio_alarm}", worst < cfg.ratio_alarm)
-        )
-
-    if "limits" in checks:
-        times = [t for t, _ in result.snapshots if t > 0]
-        if not times:
-            raise ValueError("check 'limits' needs at least one snapshot at t > 0")
-        t_split = float(np.sqrt(times[0] * times[-1]))
-        early = _verify.limit_scan(result, _verify.T_TO_0, window, cfg.floor_frac,
-                                   cfg.dev_threshold, t_max=t_split)
-        rows.append(VerdictRow("limit_t_to_0", early.extreme_value,
-                               f"series min and < {cfg.dev_threshold}", early.passed))
-        late = _verify.limit_scan(result, _verify.T_TO_INF, window, cfg.floor_frac,
-                                  cfg.dev_threshold, t_min=t_split)
-        rows.append(VerdictRow("limit_t_to_inf", late.extreme_value,
-                               f"series min and < {cfg.dev_threshold}", late.passed))
-        space = _verify.limit_scan(result, _verify.X_TO_INF, window, cfg.floor_frac,
-                                   cfg.dev_threshold)
-        rows.append(VerdictRow("limit_x_to_inf", space.extreme_value,
-                               "outermost annulus is scan min", space.extreme_is_minimum))
-
-    if "gradients" in checks:
-        theta0 = result.snapshots[0][1]
-        abs0 = RealField(theta0.grid, np.abs(theta0.values))
-        for kappa in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(1, 1), MultiIndex(0, 2)):
-            qs = []
-            for t, th in result.snapshots:
-                if t <= 0:
-                    continue
-                pt = apply_semigroup(abs0, t, cfg.alpha)
-                qs.append(_verify.gradient_bound_diag(th, pt, kappa, t, cfg.alpha, window, cfg.floor_frac))
-            med = float(np.median(qs))
-            spread = float(max(np.max(qs) / med, med / np.min(qs)))
-            rows.append(VerdictRow(f"gradient_bound_{kappa.k1}{kappa.k2}", spread,
-                                   "within factor 2 of median", spread <= 2.0))
-
-    if "slopes" in checks:
-        expected = _verify.expected_decay_exponent("theta_lp", cfg.alpha)
-        t_lo = cfg.slope_t_lo or 0.0
-        t_hi = cfg.slope_t_hi or np.inf
-        for q in cfg.slope_quantities or ("linf", "riesz_linf"):
-            ts = np.array([r.time for r in recs])
-            vs = np.array([getattr(r, q) for r in recs])
-            keep = (ts >= t_lo) & (ts <= t_hi)
-            try:
-                fit = _verify.decay_slope_fit(ts[keep], vs[keep], expected, q, cfg.slope_tolerance)
-                rows.append(VerdictRow(f"slope_{q}", fit.slope,
-                                       f"{expected:+.4f} +/- {cfg.slope_tolerance}", fit.passed))
-            except ValueError as e:
-                rows.append(VerdictRow(f"slope_{q}", float("nan"), str(e), False))
-
-    if "above_critical" in checks:
-        diags = _verify.above_critical_local_check(
-            result, cfg.above_critical_p, cfg.above_critical_T, window, cfg.floor_frac
-        )
-        worst = max(d.sup_ratio / d.inf_ratio for d in diags)
-        rows.append(VerdictRow("above_critical_ratio", worst,
-                               f"finite, < {cfg.ratio_alarm}", np.isfinite(worst) and worst < cfg.ratio_alarm))
-    return rows
-
-
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg, result = _load_run(run_dir)
-    checks = tuple(x.strip() for x in args.checks.split(",")) if args.checks else cfg.checks
+    checks = _names(args.checks) if args.checks is not None else cfg.checks
     if args.kernel:
         prof = _kernel.load_profile(args.kernel)
         if abs(prof.alpha - cfg.alpha) > 1e-12:
             raise ValueError(
                 f"kernel profile alpha {prof.alpha} does not match run alpha {cfg.alpha}"
             )
-    rows = _run_checks(cfg, result, checks)
+    rows = _verify.run_checks(cfg, result, checks)
     write_verdicts(run_dir / "verdict.csv", rows)
     table = format_verdict_table(rows)
     (run_dir / "summary.txt").write_text(table + "\n")

@@ -1,76 +1,73 @@
 """
 Flat key-value run configuration (INI sections), with strict validation and
 loss-free round-tripping: parse -> serialize -> parse is the identity.
+
+Each ``RunConfig`` field names its own INI ``(section, key)`` in its
+metadata; parsing and serializing are one loop over the fields, with one
+(parse, format) pair per field type.  Values are literal: ``%`` has no
+interpolation meaning, and on/off fields accept only on/off, true/false,
+yes/no and 1/0.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .grid import GridSpec, RealField
 from . import initial_data as _id
 from .io import read_snapshot
 from .solver import SolverConfig, critical_exponent
+from .verify import CHECKS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config"]
-
-_KINDS = ("gaussian", "compact_bump", "power_tail", "from_file", "multiscale")
-_CHECKS = (
-    "max_principle",
-    "mass_conservation",
-    "ratio",
-    "limits",
-    "gradients",
-    "slopes",
-    "above_critical",
-)
 
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure, naming section and field."""
 
 
+def _ini(section: str, key: str, default):
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # grid
-    grid_n: int = 256
-    box_length: float = 40.0
-    # solver
-    alpha: float = 1.5
-    dt: float = 0.2
-    t_end: float = 1.0
-    scheme: str = "ifrk4"
-    dealias: bool = True
-    nonlinear: bool = True
-    cfl_safety: float = 0.5
-    snapshot_times: tuple[float, ...] = ()
-    # initial data
-    id_kind: str = "gaussian"
-    id_amplitude: float = 0.25
-    id_width: float = 1.0
-    id_aspect: float = 2.0
-    id_rotation: float = 0.0
-    id_gamma: float = 0.0
-    id_core: float = 0.0
-    id_angular: float = 0.0
-    id_scales: int = 10
-    id_path: str = ""
-    # output
-    output_dir: str = "run_output"
-    # verification
-    checks: tuple[str, ...] = ("max_principle", "mass_conservation", "ratio", "limits")
-    window_fraction: float = 0.25
-    floor_frac: float = 1e-3
-    dev_threshold: float = 0.05
-    ratio_alarm: float = 10.0
-    slope_quantities: tuple[str, ...] = ()
-    slope_t_lo: float = 0.0
-    slope_t_hi: float = 0.0
-    slope_tolerance: float = 0.05
-    above_critical_p: float = 6.0
-    above_critical_T: float = 5.0
+    grid_n: int = _ini("grid", "n", 256)
+    box_length: float = _ini("grid", "box_length", 40.0)
+    alpha: float = _ini("solver", "alpha", 1.5)
+    dt: float = _ini("solver", "dt", 0.2)
+    t_end: float = _ini("solver", "t_end", 1.0)
+    scheme: str = _ini("solver", "scheme", "ifrk4")
+    dealias: bool = _ini("solver", "dealias", True)
+    nonlinear: bool = _ini("solver", "nonlinear", True)
+    cfl_safety: float = _ini("solver", "cfl_safety", 0.5)
+    snapshot_times: tuple[float, ...] = _ini("solver", "snapshot_times", ())
+    id_kind: str = _ini("initial_data", "kind", "gaussian")
+    id_amplitude: float = _ini("initial_data", "amplitude", 0.25)
+    id_width: float = _ini("initial_data", "width", 1.0)
+    id_aspect: float = _ini("initial_data", "aspect", 2.0)
+    id_rotation: float = _ini("initial_data", "rotation", 0.0)
+    id_gamma: float = _ini("initial_data", "gamma_exp", 0.0)
+    id_core: float = _ini("initial_data", "core", 0.0)
+    id_angular: float = _ini("initial_data", "angular", 0.0)
+    id_scales: int = _ini("initial_data", "scales", 10)
+    id_path: str = _ini("initial_data", "path", "")
+    output_dir: str = _ini("output", "directory", "run_output")
+    checks: tuple[str, ...] = _ini(
+        "verification", "checks", ("max_principle", "mass_conservation", "ratio", "limits")
+    )
+    window_fraction: float = _ini("verification", "window_fraction", 0.25)
+    floor_frac: float = _ini("verification", "floor_frac", 1e-3)
+    dev_threshold: float = _ini("verification", "dev_threshold", 0.05)
+    ratio_alarm: float = _ini("verification", "ratio_alarm", 10.0)
+    slope_quantities: tuple[str, ...] = _ini("verification", "slope_quantities", ())
+    slope_t_lo: float = _ini("verification", "slope_t_lo", 0.0)
+    slope_t_hi: float = _ini("verification", "slope_t_hi", 0.0)
+    slope_tolerance: float = _ini("verification", "slope_tolerance", 0.05)
+    above_critical_p: float = _ini("verification", "above_critical_p", 6.0)
+    above_critical_T: float = _ini("verification", "above_critical_T", 5.0)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_n, self.box_length)
@@ -89,56 +86,74 @@ class RunConfig:
         )
 
     def build_theta0(self, base_dir: Path | None = None) -> RealField:
-        g = self.grid()
-        k = self.id_kind
-        if k == "gaussian":
-            return _id.gaussian_bump(
-                g, self.id_amplitude, self.id_width, aspect=self.id_aspect, rotation=self.id_rotation
-            )
-        if k == "compact_bump":
-            return _id.compact_bump(
-                g, self.id_amplitude, self.id_width, aspect=self.id_aspect, rotation=self.id_rotation
-            )
-        if k == "power_tail":
-            core = self.id_core if self.id_core > 0 else None
-            return _id.power_tail(g, self.id_amplitude, self.id_gamma, core, self.id_angular)
-        if k == "multiscale":
-            field, _ = _id.multiscale_ladder(
-                g, self.alpha, self.id_amplitude, n_scales=self.id_scales, lam_max=self.id_width
-            )
-            return field
-        if k == "from_file":
-            path = Path(self.id_path)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            field, _, _ = read_snapshot(path)
-            if field.grid != g:
-                raise ConfigError(
-                    f"initial_data.path: field grid {field.grid.n}/{field.grid.box_length} "
-                    f"does not match configured grid {g.n}/{g.box_length}"
-                )
-            return field
-        raise ConfigError(f"initial_data.kind: unknown kind {k!r}")
+        return _BUILDERS[self.id_kind](self, self.grid(), base_dir)
+
+
+def _key(name: str) -> str:
+    """``section.key`` of a RunConfig field, as error messages name it."""
+    return ".".join(RunConfig.__dataclass_fields__[name].metadata["ini"])
+
+
+def _from_file(cfg: RunConfig, g: GridSpec, base_dir: Path | None) -> RealField:
+    path = Path(cfg.id_path)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    theta0, _, _ = read_snapshot(path)
+    if theta0.grid != g:
+        raise ConfigError(
+            f"{_key('id_path')}: field grid {theta0.grid.n}/{theta0.grid.box_length} "
+            f"does not match configured grid {g.n}/{g.box_length}"
+        )
+    return theta0
+
+
+# initial-data kind -> builder(cfg, grid, base_dir)
+_BUILDERS = {
+    "gaussian": lambda c, g, _: _id.gaussian_bump(
+        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
+    ),
+    "compact_bump": lambda c, g, _: _id.compact_bump(
+        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
+    ),
+    "power_tail": lambda c, g, _: _id.power_tail(
+        g, c.id_amplitude, c.id_gamma, c.id_core if c.id_core > 0 else None, c.id_angular
+    ),
+    "from_file": _from_file,
+    "multiscale": lambda c, g, _: _id.multiscale_ladder(
+        g, c.alpha, c.id_amplitude, n_scales=c.id_scales, lam_max=c.id_width
+    )[0],
+}
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    if cfg.id_kind not in _KINDS:
-        raise ConfigError(f"initial_data.kind: {cfg.id_kind!r} not one of {_KINDS}")
-    if cfg.id_kind == "power_tail":
-        if not cfg.id_gamma > cfg.alpha - 1.0:
-            raise ConfigError(
-                "initial_data.gamma_exp: power-tail exponent must exceed alpha-1 "
-                f"= {cfg.alpha - 1.0:.3f} so the datum lies in the critical space "
-                f"L^{critical_exponent(cfg.alpha):.3f}"
-            )
-    if cfg.id_kind == "from_file" and not cfg.id_path:
-        raise ConfigError("initial_data.path: required for kind = from_file")
-    for c in cfg.checks:
-        if c not in _CHECKS:
-            raise ConfigError(f"verification.checks: unknown check {c!r}")
-    # SolverConfig and GridSpec run their own validations
+    # SolverConfig and GridSpec run their own validations; alpha must be in
+    # (1, 2) before the critical exponent below can be formed
     cfg.solver_config()
+    if cfg.id_kind not in _BUILDERS:
+        raise ConfigError(f"{_key('id_kind')}: {cfg.id_kind!r} not one of {tuple(_BUILDERS)}")
+    if cfg.id_kind == "power_tail" and not cfg.id_gamma > cfg.alpha - 1.0:
+        raise ConfigError(
+            f"{_key('id_gamma')}: power-tail exponent must exceed alpha-1 "
+            f"= {cfg.alpha - 1.0:.3f} so the datum lies in the critical space "
+            f"L^{critical_exponent(cfg.alpha):.3f}"
+        )
+    if cfg.id_kind == "from_file" and not cfg.id_path:
+        raise ConfigError(f"{_key('id_path')}: required for kind = from_file")
+    for c in cfg.checks:
+        if c not in CHECKS:
+            raise ConfigError(f"{_key('checks')}: unknown check {c!r}")
     return cfg
+
+
+_ON = ("on", "true", "yes", "1")
+_OFF = ("off", "false", "no", "0")
+
+
+def _onoff(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _ON + _OFF:
+        raise ValueError(f"expected one of {', '.join(_ON + _OFF)}")
+    return word in _ON
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -150,59 +165,34 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+# field annotation -> (parse INI text, format value as INI text)
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "str": (str.strip, str),
+    "bool": (_onoff, lambda v: "on" if v else "off"),
+    "tuple[float, ...]": (_floats, lambda v: ", ".join(repr(x) for x in v)),
+    "tuple[str, ...]": (_names, ", ".join),
+}
+
+
 def parse_config(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config syntax: {e}") from e
-
-    def get(section, key, conv, default):
+    values = {}
+    for f in fields(RunConfig):
+        section, key = f.metadata["ini"]
         if not cp.has_option(section, key):
-            return default
+            continue
         raw = cp.get(section, key)
         try:
-            return conv(raw)
+            values[f.name] = _CODECS[f.type][0](raw)
         except (ValueError, TypeError) as e:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({e})") from e
-
-    onoff = lambda s: s.strip().lower() in ("on", "true", "yes", "1")
-    d = RunConfig()
-    cfg = RunConfig(
-        grid_n=get("grid", "n", int, d.grid_n),
-        box_length=get("grid", "box_length", float, d.box_length),
-        alpha=get("solver", "alpha", float, d.alpha),
-        dt=get("solver", "dt", float, d.dt),
-        t_end=get("solver", "t_end", float, d.t_end),
-        scheme=get("solver", "scheme", str.strip, d.scheme),
-        dealias=get("solver", "dealias", onoff, d.dealias),
-        nonlinear=get("solver", "nonlinear", onoff, d.nonlinear),
-        cfl_safety=get("solver", "cfl_safety", float, d.cfl_safety),
-        snapshot_times=get("solver", "snapshot_times", _floats, d.snapshot_times),
-        id_kind=get("initial_data", "kind", str.strip, d.id_kind),
-        id_amplitude=get("initial_data", "amplitude", float, d.id_amplitude),
-        id_width=get("initial_data", "width", float, d.id_width),
-        id_aspect=get("initial_data", "aspect", float, d.id_aspect),
-        id_rotation=get("initial_data", "rotation", float, d.id_rotation),
-        id_gamma=get("initial_data", "gamma_exp", float, d.id_gamma),
-        id_core=get("initial_data", "core", float, d.id_core),
-        id_angular=get("initial_data", "angular", float, d.id_angular),
-        id_scales=get("initial_data", "scales", int, d.id_scales),
-        id_path=get("initial_data", "path", str.strip, d.id_path),
-        output_dir=get("output", "directory", str.strip, d.output_dir),
-        checks=get("verification", "checks", _names, d.checks),
-        window_fraction=get("verification", "window_fraction", float, d.window_fraction),
-        floor_frac=get("verification", "floor_frac", float, d.floor_frac),
-        dev_threshold=get("verification", "dev_threshold", float, d.dev_threshold),
-        ratio_alarm=get("verification", "ratio_alarm", float, d.ratio_alarm),
-        slope_quantities=get("verification", "slope_quantities", _names, d.slope_quantities),
-        slope_t_lo=get("verification", "slope_t_lo", float, d.slope_t_lo),
-        slope_t_hi=get("verification", "slope_t_hi", float, d.slope_t_hi),
-        slope_tolerance=get("verification", "slope_tolerance", float, d.slope_tolerance),
-        above_critical_p=get("verification", "above_critical_p", float, d.above_critical_p),
-        above_critical_T=get("verification", "above_critical_T", float, d.above_critical_T),
-    )
-    return _validate(cfg)
+    return _validate(RunConfig(**values))
 
 
 def parse_config_file(path) -> RunConfig:
@@ -210,48 +200,14 @@ def parse_config_file(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = [
-        "[grid]",
-        f"n = {cfg.grid_n}",
-        f"box_length = {cfg.box_length!r}",
-        "",
-        "[solver]",
-        f"alpha = {cfg.alpha!r}",
-        f"dt = {cfg.dt!r}",
-        f"t_end = {cfg.t_end!r}",
-        f"scheme = {cfg.scheme}",
-        f"dealias = {'on' if cfg.dealias else 'off'}",
-        f"nonlinear = {'on' if cfg.nonlinear else 'off'}",
-        f"cfl_safety = {cfg.cfl_safety!r}",
-        f"snapshot_times = {', '.join(repr(t) for t in cfg.snapshot_times)}",
-        "",
-        "[initial_data]",
-        f"kind = {cfg.id_kind}",
-        f"amplitude = {cfg.id_amplitude!r}",
-        f"width = {cfg.id_width!r}",
-        f"aspect = {cfg.id_aspect!r}",
-        f"rotation = {cfg.id_rotation!r}",
-        f"gamma_exp = {cfg.id_gamma!r}",
-        f"core = {cfg.id_core!r}",
-        f"angular = {cfg.id_angular!r}",
-        f"scales = {cfg.id_scales}",
-        f"path = {cfg.id_path}",
-        "",
-        "[output]",
-        f"directory = {cfg.output_dir}",
-        "",
-        "[verification]",
-        f"checks = {', '.join(cfg.checks)}",
-        f"window_fraction = {cfg.window_fraction!r}",
-        f"floor_frac = {cfg.floor_frac!r}",
-        f"dev_threshold = {cfg.dev_threshold!r}",
-        f"ratio_alarm = {cfg.ratio_alarm!r}",
-        f"slope_quantities = {', '.join(cfg.slope_quantities)}",
-        f"slope_t_lo = {cfg.slope_t_lo!r}",
-        f"slope_t_hi = {cfg.slope_t_hi!r}",
-        f"slope_tolerance = {cfg.slope_tolerance!r}",
-        f"above_critical_p = {cfg.above_critical_p!r}",
-        f"above_critical_T = {cfg.above_critical_T!r}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines: list[str] = []
+    section = None
+    for f in fields(RunConfig):
+        sec, key = f.metadata["ini"]
+        if sec != section:
+            if section is not None:
+                lines.append("")
+            lines.append(f"[{sec}]")
+            section = sec
+        lines.append(f"{key} = {_CODECS[f.type][1](getattr(cfg, f.name))}")
+    return "\n".join(lines) + "\n"

@@ -6,19 +6,23 @@ Every diagnostic is a pure function of the snapshot data.  Thresholds are
 harness configuration, not claims: the underlying statements assert existence
 of constants and vanishing limits, so the checks report window suprema,
 monotone trends against a configured threshold, and least-squares exponents
-with their standard errors.
+with their standard errors.  ``CHECKS`` maps each check name a run
+configuration may select to the function that makes its verdict rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_semigroup, lp_norm
 from .solver import SimulationResult, critical_exponent
+
+if TYPE_CHECKING:
+    from .runconfig import RunConfig
 
 __all__ = [
     "RatioDiagnostic",
@@ -32,6 +36,8 @@ __all__ = [
     "above_critical_local_check",
     "expected_decay_exponent",
     "semigroup_reference",
+    "CHECKS",
+    "run_checks",
 ]
 
 T_TO_0 = "T_TO_0"
@@ -126,12 +132,14 @@ def ratio_diagnostics(
     )
 
 
-def semigroup_reference(result: SimulationResult) -> list[tuple[float, RealField, RealField]]:
-    """(t, theta(t), P_t theta0) for every positive snapshot time."""
+def semigroup_reference(
+    result: SimulationResult, t_min: float = 0.0, t_max: float = math.inf
+) -> list[tuple[float, RealField, RealField]]:
+    """(t, theta(t), P_t theta0) for every snapshot time t > 0 in [t_min, t_max]."""
     theta0 = result.snapshots[0][1]
     out = []
     for t, th in result.snapshots:
-        if t <= 0:
+        if t <= 0 or not t_min <= t <= t_max:
             continue
         out.append((t, th, apply_semigroup(theta0, t, result.config.alpha)))
     return out
@@ -154,7 +162,7 @@ def limit_scan(
     threshold.  The spatial scan aggregates per-annulus suprema over all
     snapshot times and requires the outermost annulus to be the minimum.
     """
-    pairs = [p for p in semigroup_reference(result) if t_min <= p[0] <= t_max]
+    pairs = semigroup_reference(result, t_min, t_max)
     if not pairs:
         raise ValueError("run contains no positive-time snapshots in the scan range")
     if mode in (T_TO_0, T_TO_INF):
@@ -269,11 +277,10 @@ def above_critical_local_check(
         raise ValueError("the comparability check requires nonnegative initial data")
     if not np.isfinite(lp_norm(theta0, p_exp)):
         raise ValueError("initial data has no finite L^p norm at the requested power")
-    out = []
-    for t, th, pt in semigroup_reference(result):
-        if t > T + 1e-12:
-            continue
-        out.append(ratio_diagnostics(th, pt, window_radius, floor_frac, time=t))
+    out = [
+        ratio_diagnostics(th, pt, window_radius, floor_frac, time=t)
+        for t, th, pt in semigroup_reference(result, t_max=T + 1e-12)
+    ]
     if not out:
         raise ValueError("no snapshots in (0, T]")
     return out
@@ -296,3 +303,123 @@ def expected_decay_exponent(quantity: str, alpha: float, p: float = math.inf, ka
     if quantity == "riesz_semigroup_sup":
         return -(kappa_order + alpha - 1.0) / alpha
     raise ValueError(f"unknown quantity {quantity!r}")
+
+
+def _window(cfg: RunConfig) -> float:
+    return cfg.window_fraction * cfg.box_length
+
+
+def _positive_times(result: SimulationResult, check: str) -> list[float]:
+    times = [t for t, _ in result.snapshots if t > 0]
+    if not times:
+        raise ValueError(f"check {check!r} needs at least one snapshot at t > 0")
+    return times
+
+
+def _check_max_principle(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    rows = []
+    for col in ("linf", "l2"):
+        vals = np.array([getattr(r, col) for r in result.diagnostics])
+        scale = np.maximum(vals[:-1], 1e-300)
+        worst = float(np.max(np.diff(vals) / scale)) if len(vals) > 1 else 0.0
+        rows.append(VerdictRow(f"max_principle_{col}", worst, "<= 1e-6 per step", worst <= 1e-6))
+    return rows
+
+
+def _check_mass_conservation(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    means = np.array([r.mean for r in result.diagnostics])
+    scale = max(abs(means[0]), 1e-300)
+    worst = float(np.max(np.abs(means - means[0])) / scale)
+    return [VerdictRow("mass_conservation", worst, "<= 1e-10 relative", worst <= 1e-10)]
+
+
+def _check_ratio(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    _positive_times(result, "ratio")
+    worst = 1.0
+    for t, th, pt in semigroup_reference(result):
+        d = ratio_diagnostics(th, pt, _window(cfg), cfg.floor_frac, time=t)
+        if not (np.isfinite(d.sup_ratio) and d.inf_ratio > 0):
+            worst = np.inf
+            break
+        worst = max(worst, d.sup_ratio / d.inf_ratio)
+    return [VerdictRow("ratio_comparability", worst, f"sup/inf < {cfg.ratio_alarm}", worst < cfg.ratio_alarm)]
+
+
+def _check_limits(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    times = _positive_times(result, "limits")
+    t_split = float(np.sqrt(times[0] * times[-1]))
+    window, floor, dev = _window(cfg), cfg.floor_frac, cfg.dev_threshold
+    early = limit_scan(result, T_TO_0, window, floor, dev, t_max=t_split)
+    late = limit_scan(result, T_TO_INF, window, floor, dev, t_min=t_split)
+    space = limit_scan(result, X_TO_INF, window, floor, dev)
+    return [
+        VerdictRow("limit_t_to_0", early.extreme_value, f"series min and < {dev}", early.passed),
+        VerdictRow("limit_t_to_inf", late.extreme_value, f"series min and < {dev}", late.passed),
+        VerdictRow("limit_x_to_inf", space.extreme_value, "outermost annulus is scan min",
+                   space.extreme_is_minimum),
+    ]
+
+
+def _check_gradients(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    _positive_times(result, "gradients")
+    theta0 = result.snapshots[0][1]
+    abs0 = RealField(theta0.grid, np.abs(theta0.values))
+    refs = [(t, th, apply_semigroup(abs0, t, cfg.alpha)) for t, th in result.snapshots if t > 0]
+    rows = []
+    for kappa in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(1, 1), MultiIndex(0, 2)):
+        qs = [gradient_bound_diag(th, pt, kappa, t, cfg.alpha, _window(cfg), cfg.floor_frac)
+              for t, th, pt in refs]
+        med = float(np.median(qs))
+        spread = float(max(np.max(qs) / med, med / np.min(qs)))
+        rows.append(VerdictRow(f"gradient_bound_{kappa.k1}{kappa.k2}", spread,
+                               "within factor 2 of median", spread <= 2.0))
+    return rows
+
+
+def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    expected = expected_decay_exponent("theta_lp", cfg.alpha)
+    t_lo = cfg.slope_t_lo or 0.0
+    t_hi = cfg.slope_t_hi or np.inf
+    ts = np.array([r.time for r in result.diagnostics])
+    keep = (ts >= t_lo) & (ts <= t_hi)
+    rows = []
+    for q in cfg.slope_quantities or ("linf", "riesz_linf"):
+        vs = np.array([getattr(r, q) for r in result.diagnostics])
+        try:
+            fit = decay_slope_fit(ts[keep], vs[keep], expected, q, cfg.slope_tolerance)
+            rows.append(VerdictRow(f"slope_{q}", fit.slope,
+                                   f"{expected:+.4f} +/- {cfg.slope_tolerance}", fit.passed))
+        except ValueError as e:
+            rows.append(VerdictRow(f"slope_{q}", float("nan"), str(e), False))
+    return rows
+
+
+def _check_above_critical(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    diags = above_critical_local_check(
+        result, cfg.above_critical_p, cfg.above_critical_T, _window(cfg), cfg.floor_frac
+    )
+    worst = max(d.sup_ratio / d.inf_ratio for d in diags)
+    return [VerdictRow("above_critical_ratio", worst, f"finite, < {cfg.ratio_alarm}",
+                       np.isfinite(worst) and worst < cfg.ratio_alarm)]
+
+
+# check name -> fn(cfg, result) -> verdict rows; rows come out in this order
+CHECKS: dict[str, Callable[[RunConfig, SimulationResult], list[VerdictRow]]] = {
+    "max_principle": _check_max_principle,
+    "mass_conservation": _check_mass_conservation,
+    "ratio": _check_ratio,
+    "limits": _check_limits,
+    "gradients": _check_gradients,
+    "slopes": _check_slopes,
+    "above_critical": _check_above_critical,
+}
+
+
+def run_checks(cfg: RunConfig, result: SimulationResult, names: Sequence[str]) -> list[VerdictRow]:
+    """Verdict rows of the selected checks, in ``CHECKS`` order, each check once."""
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; known checks: {', '.join(CHECKS)}")
+    if not names:
+        raise ValueError("no check selected")
+    return [row for name, fn in CHECKS.items() if name in names for row in fn(cfg, result)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sqglab
 from sqglab.cli import main
@@ -17,8 +19,9 @@ from sqglab.io import (
     write_diagnostics,
     write_snapshot,
 )
-from sqglab.runconfig import ConfigError, parse_config, serialize_config
+from sqglab.runconfig import ConfigError, RunConfig, parse_config, serialize_config
 from sqglab.solver import DiagnosticRecord
+from sqglab.verify import CHECKS
 
 
 BASE_CONFIG = """
@@ -99,6 +102,120 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="solver.dt"):
             parse_config(text)
 
+    def test_percent_is_literal(self):
+        # no interpolation: '%%' stays '%%' and a run's own config.cfg reads back
+        cfg = parse_config(BASE_CONFIG.format(out="runs/100%%"))
+        assert cfg.output_dir == "runs/100%%"
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key, word", [("dealias", "of"), ("nonlinear", "maybe")])
+    def test_onoff_is_strict(self, key, word):
+        text = BASE_CONFIG.format(out="x").replace(f"{key} = on", f"{key} = {word}")
+        with pytest.raises(ConfigError, match=f"solver.{key}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("word, value", [
+        ("on", True), ("true", True), ("Yes", True), ("1", True),
+        ("OFF", False), ("false", False), ("no", False), ("0", False),
+    ])
+    def test_onoff_spellings(self, word, value):
+        text = BASE_CONFIG.format(out="x").replace("dealias = on", f"dealias = {word}")
+        assert parse_config(text).dealias is value
+
+    def test_power_tail_alpha_one_names_alpha(self):
+        # the solver's alpha range is checked before the critical exponent
+        # 2/(alpha-1) of the power-tail guard is formed
+        text = BASE_CONFIG.format(out="x").replace(
+            "kind = gaussian", "kind = power_tail\ngamma_exp = 0.0"
+        ).replace("alpha = 1.5", "alpha = 1.0")
+        with pytest.raises(ValueError, match="alpha"):
+            parse_config(text)
+
+
+_PATHS = st.text(alphabet="abcXYZ019/._-%~", max_size=24)
+_NAMES = st.text(alphabet="abcxyz_019", min_size=1, max_size=10)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
+
+
+@st.composite
+def _valid_configs(draw):
+    alpha = draw(st.floats(min_value=1.0, max_value=2.0, exclude_min=True, exclude_max=True))
+    t_end = draw(st.floats(min_value=0.0, max_value=1e6))
+    kind = draw(st.sampled_from(["gaussian", "compact_bump", "power_tail", "from_file", "multiscale"]))
+    gamma = draw(_FLOATS)
+    if kind == "power_tail":
+        gamma = alpha - 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
+    path = draw(_PATHS.filter(bool) if kind == "from_file" else _PATHS)
+    return RunConfig(
+        grid_n=2 * draw(st.integers(min_value=8, max_value=10**6)),
+        box_length=draw(_POSITIVE),
+        alpha=alpha,
+        dt=draw(_POSITIVE),
+        t_end=t_end,
+        scheme=draw(st.sampled_from(["ifrk4", "picard"])),
+        dealias=draw(st.booleans()),
+        nonlinear=draw(st.booleans()),
+        cfl_safety=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        snapshot_times=tuple(draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))),
+        id_kind=kind,
+        id_amplitude=draw(_FLOATS),
+        id_width=draw(_FLOATS),
+        id_aspect=draw(_FLOATS),
+        id_rotation=draw(_FLOATS),
+        id_gamma=gamma,
+        id_core=draw(_FLOATS),
+        id_angular=draw(_FLOATS),
+        id_scales=draw(st.integers(min_value=-10**9, max_value=10**9)),
+        id_path=path,
+        output_dir=draw(_PATHS),
+        checks=tuple(draw(st.lists(st.sampled_from(list(CHECKS)), max_size=8))),
+        window_fraction=draw(_FLOATS),
+        floor_frac=draw(_FLOATS),
+        dev_threshold=draw(_FLOATS),
+        ratio_alarm=draw(_FLOATS),
+        slope_quantities=tuple(draw(st.lists(_NAMES, max_size=3))),
+        slope_t_lo=draw(_FLOATS),
+        slope_t_hi=draw(_FLOATS),
+        slope_tolerance=draw(_FLOATS),
+        above_critical_p=draw(_FLOATS),
+        above_critical_T=draw(_FLOATS),
+    )
+
+
+# every (section, key) of the format, plus keys the parser must ignore
+_KEYS = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)] + [("DEFAULT", "n"), ("extra", "junk")]
+_VALUES = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["1.0", "1", "1.5", "0", "-1", "64", "1e999", "nan", "on", "power_tail",
+                     "from_file", "ratio", "%", "%%", "%(x)s", "50%", ""]),
+)
+
+
+@st.composite
+def _ini_texts(draw):
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=12)).items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "\n".join(f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items())
+
+
+class TestRunConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_configs())
+    def test_serialize_parse_identity(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _ini_texts()))
+    def test_parse_raises_only_value_error(self, text):
+        try:
+            parse_config(text)
+        except ValueError:
+            pass
+
 
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
@@ -166,6 +283,13 @@ class TestSimulateCli:
                     digest.update(f.read_bytes())
             hashes.append(digest.hexdigest())
         assert hashes[0] == hashes[1]
+
+    def test_percent_in_output_directory(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "runs" / "50%"
+        cfgfile.write_text(BASE_CONFIG.format(out=out))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        assert parse_config((out / "config.cfg").read_text()).output_dir == str(out)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -235,14 +359,31 @@ class TestVerifyCli:
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert run_cli("verify", "--run", out) == 1
 
-    def test_limits_without_positive_snapshots(self, tmp_path, capsys):
+    @pytest.mark.parametrize("check", ["limits", "ratio", "gradients"])
+    def test_limits_without_positive_snapshots(self, tmp_path, capsys, check):
         out = tmp_path / "t0"
         cfgfile = tmp_path / "t0.cfg"
         text = BASE_CONFIG.format(out=out).replace("t_end = 0.3", "t_end = 0.0")
         cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times ="))
         assert run_cli("simulate", "--config", cfgfile) == 0
-        assert run_cli("verify", "--run", out, "--checks", "limits") == 2
-        assert "limits" in capsys.readouterr().err
+        capsys.readouterr()
+        assert run_cli("verify", "--run", out, "--checks", check) == 2
+        assert capsys.readouterr().err == f"error: check {check!r} needs at least one snapshot at t > 0\n"
+
+    @pytest.mark.parametrize("selection, named", [
+        ("vibes", "'vibes'"), ("ratio,limts", "'limts'"), ("", "no check"), (" , ", "no check"),
+    ])
+    def test_bad_check_selection_exit_two(self, linear_run_dir, capsys, selection, named):
+        assert run_cli("verify", "--run", linear_run_dir, "--checks", selection) == 2
+        assert named in capsys.readouterr().err
+        assert not (linear_run_dir / "verdict.csv").exists()
+
+    def test_rows_in_table_order_each_check_once(self, linear_run_dir):
+        assert run_cli("verify", "--run", linear_run_dir, "--checks", "ratio,max_principle,ratio") == 0
+        rows = (linear_run_dir / "verdict.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [
+            "max_principle_linf", "max_principle_l2", "ratio_comparability"
+        ]
 
 
 class TestKernelCli:

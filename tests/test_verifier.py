@@ -122,6 +122,17 @@ class TestLimitScan:
         assert scan.extreme_is_minimum
         assert scan.coordinates[0] >= 3.0
 
+    def test_semigroup_applied_only_in_scan_range(self, nonlinear_run, monkeypatch):
+        import sqglab.verify as V
+
+        applied = []
+        semigroup = V.apply_semigroup
+        monkeypatch.setattr(V, "apply_semigroup", lambda f, t, a: applied.append(t) or semigroup(f, t, a))
+        t_star = nonlinear_run.snapshots[3][0]
+        limit_scan(nonlinear_run, X_TO_INF, window_radius=5.0, t_min=t_star, t_max=t_star)
+        limit_scan(nonlinear_run, T_TO_0, window_radius=5.0, t_max=t_star)
+        assert applied == [t_star] + [t for t, _ in nonlinear_run.snapshots[1:4]]
+
     def test_unknown_mode(self, linear_run):
         with pytest.raises(ValueError):
             limit_scan(linear_run, "SIDEWAYS", 5.0)

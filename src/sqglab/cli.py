@@ -29,7 +29,8 @@ from .io import (
     write_verdicts,
 )
 from .runconfig import ConfigError, RunConfig, _names, parse_config_file, serialize_config
-from .solver import BlowUpError, CflViolationError, PicardDivergenceError, SimulationResult, run_simulation
+from .solver import (DECAY_QUANTITIES, BlowUpError, CflViolationError, PicardDivergenceError,
+                     SimulationResult, run_simulation)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -218,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fit", help="decay-exponent fit on a diagnostics series")
     f.add_argument("--run", required=True)
-    f.add_argument("--quantity", default="linf",
-                   choices=["l2", "lcrit", "linf", "riesz_linf"])
+    f.add_argument("--quantity", default="linf", choices=DECAY_QUANTITIES)
     f.add_argument("--t-lo", type=float, default=None)
     f.add_argument("--t-hi", type=float, default=None)
     f.add_argument("--expected", type=float, default=None)

@@ -126,7 +126,7 @@ def write_verdicts(path, rows: list[VerdictRow]) -> None:
         w = csv.writer(fh)
         w.writerow(["check", "measured", "requirement", "passed"])
         for r in rows:
-            w.writerow([r.name, repr(r.measured), r.requirement, int(r.passed)])
+            w.writerow([r.name, float(r.measured), r.requirement, int(r.passed)])
 
 
 def format_verdict_table(rows: list[VerdictRow]) -> str:

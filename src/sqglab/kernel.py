@@ -11,9 +11,10 @@ a power substitution that removes the s^alpha cusp at the origin.  One node
 builder, ``_hankel_nodes``, serves both the profile and the whole-space
 Gaussian semigroup, and every panel comes from ``special._gauss_panels``.
 Other times follow from the exact scaling
-p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  Beyond the tabulated radius the
-profile and its derivatives are served by one-term power asymptotics, the
-first C * r^(-2-alpha) matched continuously at r_max.
+p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  The quadrature tabulates the
+profile up to r_max (50 for 1 <= alpha < 2, 12 for alpha = 2); beyond it the
+profile, its mass and its derivatives come termwise from the exact far-field
+series of ``_series_terms``, and at alpha = 2 from the Gaussian itself.
 """
 
 from __future__ import annotations
@@ -91,20 +92,18 @@ def _cusp_power(alpha: float) -> int:
 def _hankel_nodes(S: float, r: float, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes/weights for int_0^S f(s) J_0(s r) ds at radius r.
 
-    The first stretch [0, s_split] uses the substitution s = w^q that removes
-    a fractional cusp of f at the origin; the oscillatory remainder is split
-    at the scaled Bessel zeros.
+    The first stretch [0, s_split] up to the first scaled Bessel zero (or S)
+    uses the substitution s = w^q that removes a fractional cusp of f at the
+    origin; the oscillatory remainder is split at the scaled Bessel zeros, so
+    no panel is wider than pi/r.
     """
     if r * S < np.pi:
         s_split, tail_edges = S, None
     else:
+        # r S >= pi puts the first zero j_0,1/r < S
         z = _j0_zeros(int(np.ceil(S * r / np.pi)) + 2) / r
-        z = z[z < S]
-        if len(z) == 0:
-            s_split, tail_edges = S, None
-        else:
-            s_split = min(z[0], S / 4)
-            tail_edges = np.concatenate([[s_split], z[z > s_split], [S]])
+        tail_edges = np.concatenate([z[z < S], [S]])
+        s_split = tail_edges[0]
     wn, ww = _gauss_panels(np.linspace(0.0, s_split ** (1.0 / q), 17), order)
     nodes = wn**q
     weights = ww * q * wn ** (q - 1)
@@ -127,30 +126,62 @@ def _radial_value(alpha: float, r: float, order: int = 12) -> float:
     return float(np.sum(damp * _sp.j0(s * r) * s) / (2 * np.pi))
 
 
-def _radial_triplet(alpha: float, r: float, order: int = 12) -> tuple[float, float, float]:
-    """(g, g', g'') of the unit-time kernel profile at radius r >= 0."""
+def _radial_derivatives(alpha: float, r: float, order: int = 12) -> tuple[float, float]:
+    """(g', g'') of the unit-time kernel profile at radius r >= 0."""
     s, damp = _damped_nodes(alpha, r, order)
     sr = s * r
-    j0 = _sp.j0(sr)
     j1 = _sp.j1(sr)
-    g = np.sum(damp * j0 * s) / (2 * np.pi)
     dg = -np.sum(damp * j1 * s**2) / (2 * np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         j1_over = np.where(sr > 0, j1 / np.where(sr > 0, sr, 1.0), 0.5)
-    curv = -np.sum(damp * (j0 - j1_over) * s**3) / (2 * np.pi)
-    return float(g), float(dg), float(curv)
+    curv = -np.sum(damp * (_sp.j0(sr) - j1_over) * s**3) / (2 * np.pi)
+    return float(dg), float(curv)
+
+
+# Default table edge for 1 <= alpha < 2.  From r = 20 on, _SERIES_TERMS terms
+# of the far-field series match order-18 quadrature to ~5e-11 relative
+# (alpha 1.2, 1.5, 1.8); far out the series is the more accurate of the two.
+_R_TABLE = 50.0
+_SERIES_TERMS = 12
+
+
+def _series_terms(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """
+    (c_k, alpha k) of the far-field series p(1, r) = sum_k c_k r^(-2-alpha k),
+    c_k = (-1)^(k+1)/k! Gamma(1+alpha k/2)^2 sin(pi alpha k/2) 2^(alpha k)/pi^2
+    (Blumenthal & Getoor 1960, Trans. AMS 95; Kolokoltsov 2000, Proc. LMS 80).
+    It converges at alpha = 1 (the Cauchy kernel) and is asymptotic for alpha > 1.
+    """
+    k = np.arange(1, _SERIES_TERMS + 1)
+    ak = alpha * k
+    sign = (-1.0) ** (k + 1)
+    c = sign / _sp.factorial(k) * _sp.gamma(1 + ak / 2) ** 2 * np.sin(np.pi * ak / 2) * 2.0**ak / np.pi**2
+    return c, ak
+
+
+def _far_field(alpha: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, g'/r, g'') of the unit-time profile at large r, termwise from the series."""
+    r = np.asarray(r, dtype=float)
+    if alpha >= 2.0:  # every series term vanishes: the Gaussian itself
+        g = np.exp(-(r**2) / 4.0) / (4.0 * np.pi)
+        return g, -g / 2.0, (r**2 / 4.0 - 0.5) * g
+    c, ak = _series_terms(alpha)
+    terms = c * r[..., None] ** (-2.0 - ak)
+    r2 = r**2
+    return terms.sum(-1), -(terms @ (2.0 + ak)) / r2, (terms @ ((2.0 + ak) * (3.0 + ak))) / r2
+
+
+def _far_mass(alpha: float, r_max: float) -> float:
+    """2*pi int_r_max^inf p(1,r) r dr in closed form, term by term."""
+    if alpha >= 2.0:
+        return math.exp(-(r_max**2) / 4.0)
+    c, ak = _series_terms(alpha)
+    return 2 * np.pi * float(np.sum(c * r_max ** (-ak) / ak))
 
 
 def levy_constant(alpha: float) -> float:
-    """Coefficient of the exact |x| -> inf power tail p(1,x) ~ C |x|^(-2-alpha)."""
-    if alpha >= 2.0:
-        return 0.0
-    return (
-        alpha
-        * 2 ** (alpha - 1.0)
-        * math.gamma(1.0 + alpha / 2.0)
-        / (math.pi * math.gamma(1.0 - alpha / 2.0))
-    )
+    """C of the exact |x| -> inf power tail p(1,x) ~ C |x|^(-2-alpha): the series' c_1."""
+    return 0.0 if alpha >= 2.0 else float(_series_terms(alpha)[0][0])
 
 
 def levy_density(z, alpha: float) -> np.ndarray | float:
@@ -165,82 +196,51 @@ def levy_density(z, alpha: float) -> np.ndarray | float:
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
-def _second_tail_ratio(alpha: float) -> float:
-    """|c2|: relative size of the second tail term, p ~ C r^(-2-a) (1 + c2 r^(-a))."""
-    if alpha >= 2.0:
-        return 0.0
-    num = 2.0**alpha * math.gamma(1.0 + alpha) * math.gamma(-alpha / 2.0)
-    den = 2.0 * math.gamma(-alpha) * math.gamma(1.0 + alpha / 2.0)
-    return abs(num / den)
-
-
-def _default_r_max(alpha: float, mass_tol: float = 1e-8) -> float:
-    """Radius beyond which the fitted one-term tail keeps the mass error below tol."""
-    if alpha >= 2.0:
-        return 12.0
-    c = levy_constant(alpha)
-    c2 = _second_tail_ratio(alpha)
-    if c <= 0 or c2 <= 0:
-        return 64.0
-    r = (2.0 * math.pi * c * c2 / (alpha * mass_tol)) ** (1.0 / (2.0 * alpha))
-    return max(64.0, 1.3 * r)
-
-
 # ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------
 
 
-def _table_or_tail(r, r_max: float, table, tail_coef: float, tail_power: float) -> np.ndarray:
-    """``table(log1p(r))`` up to r_max, the power tail ``tail_coef * r^(-tail_power)`` beyond."""
+def _table_or_series(r, r_max: float, table, alpha: float, part: int) -> np.ndarray:
+    """``table(log1p(r))`` up to r_max, component ``part`` of ``_far_field`` beyond."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
     inside = r <= r_max
     out[inside] = table(np.log1p(r[inside]))
-    out[~inside] = tail_coef * r[~inside] ** (-tail_power)
+    out[~inside] = _far_field(alpha, r[~inside])[part]
     return out
 
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """Tabulated radial profile of the unit-time kernel with tail model."""
+    """Tabulated radial profile of the unit-time kernel, far-field series beyond."""
 
     alpha: float
     r_max: float
     radii: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    tail_constant: float = field(repr=False, default=0.0)
 
     def __post_init__(self) -> None:
         interp = PchipInterpolator(np.log1p(self.radii), np.log(self.values), extrapolate=False)
         object.__setattr__(self, "_interp", interp)
 
     @property
-    def tail_exponent(self) -> float:
-        return 2.0 + self.alpha
+    def tail_constant(self) -> float:
+        """C of the leading far-field term p(1, r) ~ C r^(-2-alpha)."""
+        return levy_constant(self.alpha)
 
     def __call__(self, r) -> np.ndarray:
-        """p(1, r); one-term power tail beyond the tabulated range."""
+        """p(1, r); the far-field series beyond the tabulated range."""
         r = np.asarray(r, dtype=float)
-        out = _table_or_tail(
-            r, self.r_max, lambda u: np.exp(self._interp(u)), self.tail_constant, self.tail_exponent
-        )
+        out = _table_or_series(r, self.r_max, lambda u: np.exp(self._interp(u)), self.alpha, 0)
         return float(out[0]) if r.ndim == 0 else out
 
     def total_mass(self, order: int = 16) -> float:
-        """2*pi int_0^inf p(1,r) r dr, tabulated part plus tail closed form."""
+        """2*pi int_0^inf p(1,r) r dr: the table, plus the series termwise beyond r_max."""
         un, uw = _gauss_panels(np.log1p(self.radii), order)
         rn = np.expm1(un)
         pn = np.exp(self._interp(un))
-        inner = 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw))
-        tail = 2 * np.pi * self.tail_constant * self.r_max ** (-self.alpha) / self.alpha
-        return inner + tail
-
-
-def _fit_tail_constant(radii: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """One-term tail coefficient, averaged over the last nodes to beat roundoff."""
-    k = min(8, len(radii))
-    return float(np.mean(values[-k:] * radii[-k:] ** (2.0 + alpha)))
+        return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, self.r_max)
 
 
 def build_profile(
@@ -254,21 +254,23 @@ def build_profile(
 
     The quadrature at a spot-check subset of radii is re-run at a higher
     Gauss-Legendre order; disagreement beyond ``tol`` raises
-    QuadratureConvergenceError.  The default r_max is chosen so that the
-    fitted one-term tail keeps the total-mass error below 1e-8.
+    QuadratureConvergenceError.  The default r_max is 50 for 1 <= alpha < 2,
+    where the far-field series takes over, and 12 at alpha = 2, where the
+    Gaussian falls below roundoff.  Below r = 20 the asymptotic series loses
+    accuracy, so an r_max under 20 leaves radii to it that it serves poorly.
     """
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if r_max is None:
-        r_max = _default_r_max(alpha)
+        r_max = 12.0 if alpha >= 2.0 else _R_TABLE
     if r_max <= 0:
         raise ValueError("r_max must be positive")
     u_top = np.log1p(r_max)
     if n_nodes is None:
-        # dense where pointwise accuracy matters, sparse in the far tail
-        u_split = min(np.log1p(50.0), u_top)
+        # dense where pointwise accuracy matters, sparse beyond
+        u_split = min(np.log1p(_R_TABLE), u_top)
         u = np.arange(0.0, u_split, 0.003)
         if u_split < u_top:
             u = np.concatenate([u, np.arange(u_split, u_top, 0.015)])
@@ -292,8 +294,7 @@ def build_profile(
                 f"Hankel quadrature at r={radii[i]:.3g} differs by "
                 f"{abs(vals[i] - ref) / abs(ref):.2e} between orders"
             )
-    tail_c = _fit_tail_constant(radii, vals, alpha)
-    return KernelProfile(alpha, float(r_max), radii, vals, tail_c)
+    return KernelProfile(alpha, float(r_max), radii, vals)
 
 
 def kernel_eval(profile: KernelProfile, t: float, x) -> np.ndarray | float:
@@ -329,7 +330,6 @@ class KernelDerivativeProfile:
     curvature: np.ndarray = field(repr=False)  # g''
     patch_coords: np.ndarray = field(repr=False)
     patch_values: np.ndarray = field(repr=False)
-    tail_constant: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kappa.order > 2:
@@ -341,14 +341,10 @@ class KernelDerivativeProfile:
         object.__setattr__(self, "_c_interp", c_interp)
 
     def _h(self, r: np.ndarray) -> np.ndarray:
-        tail = -(2.0 + self.alpha) * self.tail_constant
-        return _table_or_tail(
-            r, self.r_max, lambda u: -np.exp(self._h_interp(u)), tail, 4.0 + self.alpha
-        )
+        return _table_or_series(r, self.r_max, lambda u: -np.exp(self._h_interp(u)), self.alpha, 1)
 
     def _c(self, r: np.ndarray) -> np.ndarray:
-        tail = (2.0 + self.alpha) * (3.0 + self.alpha) * self.tail_constant
-        return _table_or_tail(r, self.r_max, self._c_interp, tail, 4.0 + self.alpha)
+        return _table_or_series(r, self.r_max, self._c_interp, self.alpha, 2)
 
     def eval_unit_time(self, x: np.ndarray, kappa: MultiIndex | None = None) -> np.ndarray:
         """grad^kappa p(1, x) for points x of shape (..., 2)."""
@@ -396,23 +392,18 @@ def build_derivative_profile(
     u = np.linspace(0.0, np.log1p(r_max), n_nodes)
     radii = np.expm1(u)
     radii[-1] = r_max
-    g = np.empty(n_nodes)
     h = np.empty(n_nodes)
     c = np.empty(n_nodes)
     for i, r in enumerate(radii):
-        gi, dgi, ci = _radial_triplet(alpha, r)
-        g[i] = gi
+        dgi, ci = _radial_derivatives(alpha, r)
         c[i] = ci
         h[i] = dgi / r if r > 0 else ci  # g'/r -> g''(0) at the origin
     if np.any(h >= 0):
         raise QuadratureConvergenceError("radial slope lost its sign")
-    tail_c = float(g[-1] * r_max ** (2.0 + alpha))
     xs = np.linspace(-patch_halfwidth, patch_halfwidth, patch_n)
     px, py = np.meshgrid(xs, xs, indexing="ij")
     coords = np.stack([px, py], axis=-1)
-    prof = KernelDerivativeProfile(
-        alpha, kappa, float(r_max), radii, h, c, coords, np.zeros_like(px), tail_c
-    )
+    prof = KernelDerivativeProfile(alpha, kappa, float(r_max), radii, h, c, coords, np.zeros_like(px))
     object.__setattr__(prof, "patch_values", prof.eval_unit_time(coords))
     return prof
 
@@ -567,12 +558,13 @@ def kernel_lp_norm(
 ) -> float:
     """
     ||grad^kappa p(t, .)||_p for |kappa| <= 1 by radial quadrature with the
-    exact angular factor, plus the closed-form tail beyond the tabulated range.
+    exact angular factor out to r = 50 t^(1/alpha), plus the closed form of
+    the leading power tail beyond.
     """
     if kappa.order > 1:
         raise ValueError("norms are provided for |kappa| <= 1")
     a = profile.alpha
-    r_edge = profile.r_max * t ** (1.0 / a)
+    r_edge = _R_TABLE * t ** (1.0 / a)
     if np.isinf(p):
         if kappa.order == 0:
             return float(kernel_eval_radial(profile, t, np.zeros(1))[0])
@@ -628,4 +620,4 @@ def load_profile(path) -> KernelProfile:
         alpha, r_max, count = struct.unpack("<ddI", _read_exact(fh, 20, path))
         radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
         values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
-    return KernelProfile(alpha, r_max, radii, values, _fit_tail_constant(radii, values, alpha))
+    return KernelProfile(alpha, r_max, radii, values)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .grid import GridSpec, RealField
 from . import initial_data as _id
 from .io import read_snapshot
-from .solver import SolverConfig, critical_exponent
+from .solver import DECAY_QUANTITIES, SolverConfig, critical_exponent
 from .verify import CHECKS
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config"]
@@ -139,9 +139,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         )
     if cfg.id_kind == "from_file" and not cfg.id_path:
         raise ConfigError(f"{_key('id_path')}: required for kind = from_file")
-    for c in cfg.checks:
-        if c not in CHECKS:
-            raise ConfigError(f"{_key('checks')}: unknown check {c!r}")
+    for name, known in (("checks", CHECKS), ("slope_quantities", DECAY_QUANTITIES)):
+        unknown = [v for v in getattr(cfg, name) if v not in known]
+        if unknown:
+            raise ConfigError(f"{_key(name)}: unknown {unknown[0]!r}; known: {', '.join(known)}")
     return cfg
 
 

@@ -18,7 +18,7 @@ The cross-validation of the two solution paths pins this sign down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "SolverConfig",
     "SimulationState",
     "DiagnosticRecord",
+    "DECAY_QUANTITIES",
     "SimulationResult",
     "PicardResult",
     "CflViolationError",
@@ -107,6 +108,10 @@ class DiagnosticRecord:
     linf: float
     riesz_linf: float
     mean: float
+
+
+# the DiagnosticRecord norms of theta: what a decay-slope fit can take
+DECAY_QUANTITIES = tuple(f.name for f in fields(DiagnosticRecord) if f.name not in ("time", "mean"))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import math
@@ -20,7 +21,7 @@ from sqglab.io import (
     write_snapshot,
 )
 from sqglab.runconfig import ConfigError, RunConfig, parse_config, serialize_config
-from sqglab.solver import DiagnosticRecord
+from sqglab.solver import DECAY_QUANTITIES, DiagnosticRecord
 from sqglab.verify import CHECKS
 
 
@@ -93,6 +94,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="check"):
             parse_config(text)
 
+    def test_unknown_slope_quantity(self):
+        text = BASE_CONFIG.format(out="x") + "slope_quantities = linf, vibes\n"
+        with pytest.raises(ConfigError, match="verification.slope_quantities: unknown 'vibes'"):
+            parse_config(text)
+
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[grid\nn = 64")
@@ -133,7 +139,6 @@ class TestRunConfig:
 
 
 _PATHS = st.text(alphabet="abcXYZ019/._-%~", max_size=24)
-_NAMES = st.text(alphabet="abcxyz_019", min_size=1, max_size=10)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
 
@@ -174,7 +179,7 @@ def _valid_configs(draw):
         floor_frac=draw(_FLOATS),
         dev_threshold=draw(_FLOATS),
         ratio_alarm=draw(_FLOATS),
-        slope_quantities=tuple(draw(st.lists(_NAMES, max_size=3))),
+        slope_quantities=tuple(draw(st.lists(st.sampled_from(DECAY_QUANTITIES), max_size=3))),
         slope_t_lo=draw(_FLOATS),
         slope_t_hi=draw(_FLOATS),
         slope_tolerance=draw(_FLOATS),
@@ -385,6 +390,23 @@ class TestVerifyCli:
             "max_principle_linf", "max_principle_l2", "ratio_comparability"
         ]
 
+    def test_unknown_slope_quantity_exit_two(self, linear_run_dir, capsys):
+        cfg_path = linear_run_dir / "config.cfg"
+        text = cfg_path.read_text()
+        assert "slope_quantities = \n" in text
+        cfg_path.write_text(text.replace("slope_quantities = \n", "slope_quantities = vibes\n"))
+        assert run_cli("verify", "--run", linear_run_dir, "--checks", "slopes") == 2
+        assert "verification.slope_quantities" in capsys.readouterr().err
+
+    def test_measured_cells_are_plain_floats(self, linear_run_dir):
+        # limit_x_to_inf measures a numpy scalar
+        assert run_cli("verify", "--run", linear_run_dir) == 0
+        with open(linear_run_dir / "verdict.csv", newline="") as fh:
+            cells = [row["measured"] for row in csv.DictReader(fh)]
+        assert len(cells) > 3
+        for cell in cells:
+            float(cell)
+
 
 class TestKernelCli:
     def test_profile_and_sweep(self, tmp_path, capsys):
@@ -445,6 +467,18 @@ class TestFitCli:
         slope = float(line.split("=")[1].split("+/-")[0])
         assert run_cli("fit", "--run", out, "--quantity", "l2", "--t-lo", 0.05,
                        "--expected", slope) == 0
+
+    def test_quantity_choices_are_the_decay_quantities(self, tmp_path):
+        out = tmp_path / "q"
+        cfgfile = tmp_path / "q.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=out))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        assert DECAY_QUANTITIES == ("l2", "lcrit", "linf", "riesz_linf")
+        for q in DECAY_QUANTITIES:
+            # 0.3 time units is too short a fit range: exit 2 from the fit, not from argparse
+            assert run_cli("fit", "--run", out, "--quantity", q) == 2
+        with pytest.raises(SystemExit):
+            run_cli("fit", "--run", out, "--quantity", "mean")
 
 
 def test_usage_error_is_exit_two():

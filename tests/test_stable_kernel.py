@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sp
 
+from sqglab import kernel
 from sqglab.grid import GridSpec, MultiIndex, RealField, apply_semigroup
 from sqglab.kernel import (
     KernelProfile,
@@ -49,6 +51,8 @@ class TestProfileBuild:
         exact = (1 + rs**2) ** (-1.5) / (2 * np.pi)
         assert np.max(np.abs(prof(rs) - exact) / exact) < 1e-6
         assert prof(1.0) == pytest.approx(1 / (2 * np.pi * 2**1.5), rel=1e-6)
+        # beyond r_max = 40 the series' mass is the Cauchy tail 1/sqrt(1 + 40^2)
+        assert abs(prof.total_mass() - 1.0) < 1e-8
 
     def test_origin_value_closed_form(self, profile15):
         # p(1,0) = Gamma(2/alpha)/(2 pi alpha) from the radial moment integral
@@ -71,8 +75,8 @@ class TestProfileBuild:
         assert 0 < scaled.min() and scaled.max() < 2.0
 
     def test_tail_constant_near_exact(self, profile15):
-        # fitted one-term constant should approach the exact jump-measure constant
-        assert profile15.tail_constant == pytest.approx(levy_constant(1.5), rel=1e-3)
+        # the leading far-field coefficient is the exact jump-measure constant
+        assert profile15.tail_constant == levy_constant(1.5)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):
@@ -83,6 +87,53 @@ class TestProfileBuild:
             build_profile(0.8)
         with pytest.raises(ValueError):
             build_profile(1.5, r_max=-1.0)
+
+
+class TestFarField:
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_series_matches_quadrature(self, alpha):
+        rs = np.geomspace(20.0, 50.0, 13)
+        quad = np.array([kernel._radial_value(alpha, r, order=18) for r in rs])
+        series = kernel._far_field(alpha, rs)[0]
+        assert np.max(np.abs(series - quad) / quad) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_termwise_derivatives_match_quadrature(self, alpha):
+        # the bounds are those of the order-18 derivative quadrature itself,
+        # which differs from order 12 by as much out here
+        rs = np.geomspace(20.0, 80.0, 9)
+        quad = np.array([kernel._radial_derivatives(alpha, r, order=18) for r in rs])
+        _, slope_over_r, curvature = kernel._far_field(alpha, rs)
+        assert np.max(np.abs(slope_over_r * rs / quad[:, 0] - 1.0)) <= 1e-8
+        assert np.max(np.abs(curvature / quad[:, 1] - 1.0)) <= 1e-6
+
+    def test_alpha_one_series_is_cauchy(self):
+        # twelve terms are the binomial expansion of (1 + r^2)^(-3/2) through
+        # r^(-13); the first omitted term is 2.93 r^(-12) relative
+        rs = np.geomspace(2.0, 1000.0, 200)
+        exact = (1 + rs**2) ** (-1.5) / (2 * np.pi)
+        rel = np.abs(kernel._far_field(1.0, rs)[0] - exact) / exact
+        assert np.all(rel <= 4.0 * rs**-12.0 + 1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5, 1.8, 2.0])
+    def test_mass_tail_closed_form(self, alpha):
+        r0 = 12.0 if alpha == 2.0 else 50.0
+        direct, _ = integrate.quad(
+            lambda r: 2 * np.pi * r * kernel._far_field(alpha, r)[0], r0, np.inf,
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert kernel._far_mass(alpha, r0) == pytest.approx(direct, rel=1e-12)
+
+    def test_table_to_2800_loads(self, profile15, tmp_path):
+        # profile files tabulated to r = 2800 by quadrature keep loading and
+        # agree with the default table where both tabulate
+        path = tmp_path / "wide.sqgk"
+        save_profile(build_profile(1.5, r_max=2800.0), path)
+        wide = load_profile(path)
+        assert wide.r_max == 2800.0
+        rs = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 400)])
+        assert np.max(np.abs(wide(rs) - profile15(rs)) / profile15(rs)) <= 1e-8
+        assert abs(wide.total_mass() - 1.0) < 1e-8
 
 
 class TestKernelEval:
@@ -348,15 +399,12 @@ class TestGaussianSemigroupClosedForm:
 
     @pytest.mark.parametrize("sig", [0.5, 1.0, 2.0])
     def test_heat_semigroup_at_alpha_two(self, sig):
-        # P_t is the heat semigroup of variance 2t per axis at alpha = 2.  The
-        # bound is 5e-11, not 1e-11: just above r = pi/S the first Bessel-zero
-        # panel [S/4, j_0,1/r] is wide for 12 nodes and leaves up to 2e-11
-        # (sigma = 0.5, t = 0.1, r = 0.17)
+        # P_t is the heat semigroup of variance 2t per axis at alpha = 2
         for t in self.TIMES:
             var = sig**2 + 2 * t
             exact = sig**2 / var * np.exp(-self.RADII**2 / (2 * var))
             got = gaussian_semigroup_radial(2.0, sig, float(t), self.RADII)
-            assert np.max(np.abs(got - exact)) <= 5e-11
+            assert np.max(np.abs(got - exact)) <= 1e-11
 
     @pytest.mark.parametrize("sig", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
@@ -424,7 +472,7 @@ class TestSerialization:
 
     def test_every_truncation_names_file(self, tmp_path):
         radii = np.expm1(np.linspace(0.0, np.log1p(4.0), 6))
-        small = KernelProfile(1.5, 4.0, radii, np.exp(-radii), 1.0)
+        small = KernelProfile(1.5, 4.0, radii, np.exp(-radii))
         full = tmp_path / "full.sqgk"
         save_profile(small, full)
         data = full.read_bytes()

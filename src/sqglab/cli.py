@@ -6,13 +6,15 @@ configured evolution and persist snapshots plus diagnostics), ``verify``
 (turn a run directory into a pass/fail verdict report), ``special``
 (special-function and singular-integral studies), ``fit`` (decay-exponent
 fits on a diagnostics series).  Exit codes: 0 success, 1 check failure,
-2 usage or configuration error, or a run the solver cannot complete.
+2 usage or configuration error, or a run the solver or the kernel quadrature
+cannot complete, 3 internal error (any other exception, reported on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -34,12 +36,13 @@ from .solver import (DECAY_QUANTITIES, BlowUpError, CflViolationError, PicardDiv
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _cmd_kernel(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    profile = _kernel.build_profile(args.alpha, r_max=args.r_max, tol=args.tol)
+    profile = _kernel.build_profile(args.alpha, tol=args.tol)
     ppath = out / f"profile_a{args.alpha:.4g}.sqgk"
     _kernel.save_profile(profile, ppath)
     mass = profile.total_mass()
@@ -47,18 +50,14 @@ def _cmd_kernel(args) -> int:
     sweep_path = out / f"estimate_sweep_a{args.alpha:.4g}.csv"
     ts = np.geomspace(args.t_min, args.t_max, 13)
     rs = np.concatenate([[0.0], np.geomspace(1e-2, args.x_max, 40)])
+    ratios = _kernel.estimate_ratios(profile, ts, rs)
     with open(sweep_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "r", "ratio"])
-        for t in ts:
-            p = _kernel.kernel_eval_radial(profile, float(t), rs)
-            ratio = p * (t ** (1 / args.alpha) + rs) ** (2 + args.alpha) / t
-            for r, q in zip(rs, ratio):
+        for t, row in zip(ts, ratios):
+            for r, q in zip(rs, row):
                 w.writerow([repr(float(t)), repr(float(r)), repr(float(q))])
-    lo, hi = _kernel.check_two_sided_estimate(
-        profile, ts, np.stack([rs, np.zeros_like(rs)], axis=-1)
-    )
-    print(f"two-sided ratio over sweep: [{lo:.6g}, {hi:.6g}] -> {sweep_path}")
+    print(f"two-sided ratio over sweep: [{ratios.min():.6g}, {ratios.max():.6g}] -> {sweep_path}")
     return 0
 
 
@@ -148,22 +147,9 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    run_dir = Path(args.run)
-    cfg, result = _load_run(run_dir)
-    recs = result.diagnostics
-    ts = np.array([r.time for r in recs])
-    vs = np.array([getattr(r, args.quantity) for r in recs])
-    keep = np.ones_like(ts, dtype=bool)
-    if args.t_lo is not None:
-        keep &= ts >= args.t_lo
-    if args.t_hi is not None:
-        keep &= ts <= args.t_hi
-    expected = (
-        args.expected
-        if args.expected is not None
-        else _verify.expected_decay_exponent("theta_lp", cfg.alpha)
-    )
-    fit = _verify.decay_slope_fit(ts[keep], vs[keep], expected, args.quantity, args.tolerance)
+    cfg, result = _load_run(Path(args.run))
+    fit = _verify.diagnostics_slope_fit(cfg.alpha, result.diagnostics, args.quantity, args.tolerance,
+                                        args.t_lo, args.t_hi, args.expected)
     print(
         f"slope({args.quantity}) = {fit.slope:+.5f} +/- {fit.stderr:.5f} over "
         f"t in [{fit.t_lo:.4g}, {fit.t_hi:.4g}], expected {fit.expected:+.5f} "
@@ -179,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="build a stable-kernel profile and estimate sweep")
     k.add_argument("--alpha", type=float, required=True)
     k.add_argument("--out", default="kernel_output")
-    k.add_argument("--r-max", type=float, default=None)
     k.add_argument("--tol", type=float, default=1e-6)
     k.add_argument("--t-min", type=float, default=1e-2)
     k.add_argument("--t-max", type=float, default=1e2)
@@ -220,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fit", help="decay-exponent fit on a diagnostics series")
     f.add_argument("--run", required=True)
     f.add_argument("--quantity", default="linf", choices=DECAY_QUANTITIES)
-    f.add_argument("--t-lo", type=float, default=None)
-    f.add_argument("--t-hi", type=float, default=None)
+    f.add_argument("--t-lo", type=float, default=-math.inf)
+    f.add_argument("--t-hi", type=float, default=math.inf)
     f.add_argument("--expected", type=float, default=None)
     f.add_argument("--tolerance", type=float, default=0.05)
     f.set_defaults(func=_cmd_fit)
@@ -233,10 +218,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, OSError,
-            PicardDivergenceError, BlowUpError, CflViolationError) as e:
+    except (ConfigError, FileNotFoundError, ValueError, OSError, PicardDivergenceError,
+            BlowUpError, CflViolationError, _kernel.QuadratureConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

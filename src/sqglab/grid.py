@@ -49,10 +49,6 @@ class GridSpec:
         x = np.arange(self.n) * self.dx - self.box_length / 2
         return np.meshgrid(x, x, indexing="ij")
 
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        k = 2 * np.pi * _fft.fftfreq(self.n, d=self.dx)
-        return k[:, None], k[None, :]
-
 
 class _Spectra:
     """Cached rfft2-layout multipliers and transforms per grid (kept off the frozen dataclass)."""

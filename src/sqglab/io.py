@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 
 SNAPSHOT_MAGIC = b"SQGF"
 SNAPSHOT_VERSION = 1
-DIAG_COLUMNS = ("time", "l2", "lcrit", "linf", "riesz_linf", "mean")
+DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticRecord))
 
 
 def write_snapshot(path, field: RealField, t: float, alpha: float) -> None:

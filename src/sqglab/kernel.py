@@ -11,10 +11,11 @@ a power substitution that removes the s^alpha cusp at the origin.  One node
 builder, ``_hankel_nodes``, serves both the profile and the whole-space
 Gaussian semigroup, and every panel comes from ``special._gauss_panels``.
 Other times follow from the exact scaling
-p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  The quadrature tabulates the
-profile up to r_max (50 for 1 <= alpha < 2, 12 for alpha = 2); beyond it the
-profile, its mass and its derivatives come termwise from the exact far-field
-series of ``_series_terms``, and at alpha = 2 from the Gaussian itself.
+p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  Every quadrature table, of the
+profile and of its derivatives, stops at ``_table_edge(alpha)`` (r = 50 for
+1 <= alpha < 2, 12 at alpha = 2); beyond it the profile, its mass and its
+derivatives come termwise from the exact far-field series of
+``_series_terms``, and at alpha = 2 from the Gaussian itself.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "build_derivative_profile",
     "kernel_eval",
     "kernel_derivative_eval",
+    "estimate_ratios",
     "check_two_sided_estimate",
     "riesz_kernel_bound_check",
     "convolve_whole_space",
@@ -138,11 +140,28 @@ def _radial_derivatives(alpha: float, r: float, order: int = 12) -> tuple[float,
     return float(dg), float(curv)
 
 
-# Default table edge for 1 <= alpha < 2.  From r = 20 on, _SERIES_TERMS terms
-# of the far-field series match order-18 quadrature to ~5e-11 relative
-# (alpha 1.2, 1.5, 1.8); far out the series is the more accurate of the two.
-_R_TABLE = 50.0
+# From r = 20 on, _SERIES_TERMS terms of the far-field series match order-18
+# quadrature to ~5e-11 relative (alpha 1.2, 1.5, 1.8); far out the series is
+# the more accurate of the two, so no table may stop short of r = 20.
+_SERIES_FROM = 20.0
 _SERIES_TERMS = 12
+
+
+def _table_edge(alpha: float) -> float:
+    """Radius where every quadrature table stops and ``_far_field`` takes over:
+    50 for 1 <= alpha < 2, 12 at alpha = 2, where the Gaussian nears roundoff."""
+    return 12.0 if alpha >= 2.0 else 50.0
+
+
+def _radial_grid(r_max: float, step: float, n_nodes: int | None = None) -> np.ndarray:
+    """Table radii expm1(u): u = 0, step, 2 step, ... below log1p(r_max) (or
+    ``n_nodes`` even steps to it), closed by r_max itself."""
+    u_top = np.log1p(r_max)
+    u = (np.append(np.arange(0.0, u_top, step), u_top) if n_nodes is None
+         else np.linspace(0.0, u_top, n_nodes))
+    radii = np.expm1(u)
+    radii[-1] = r_max
+    return radii
 
 
 def _series_terms(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -202,10 +221,10 @@ def levy_density(z, alpha: float) -> np.ndarray | float:
 
 
 def _table_or_series(r, r_max: float, table, alpha: float, part: int) -> np.ndarray:
-    """``table(log1p(r))`` up to r_max, component ``part`` of ``_far_field`` beyond."""
+    """``table(log1p(r))`` up to min(r_max, edge), component ``part`` of ``_far_field`` beyond."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
-    inside = r <= r_max
+    inside = r <= min(r_max, _table_edge(alpha))
     out[inside] = table(np.log1p(r[inside]))
     out[~inside] = _far_field(alpha, r[~inside])[part]
     return out
@@ -236,11 +255,12 @@ class KernelProfile:
         return float(out[0]) if r.ndim == 0 else out
 
     def total_mass(self, order: int = 16) -> float:
-        """2*pi int_0^inf p(1,r) r dr: the table, plus the series termwise beyond r_max."""
-        un, uw = _gauss_panels(np.log1p(self.radii), order)
+        """2*pi int_0^inf p(1,r) r dr: the table up to min(r_max, edge), the series termwise beyond."""
+        top = min(self.r_max, _table_edge(self.alpha))
+        un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), order)
         rn = np.expm1(un)
         pn = np.exp(self._interp(un))
-        return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, self.r_max)
+        return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
 
 
 def build_profile(
@@ -254,38 +274,31 @@ def build_profile(
 
     The quadrature at a spot-check subset of radii is re-run at a higher
     Gauss-Legendre order; disagreement beyond ``tol`` raises
-    QuadratureConvergenceError.  The default r_max is 50 for 1 <= alpha < 2,
-    where the far-field series takes over, and 12 at alpha = 2, where the
-    Gaussian falls below roundoff.  Below r = 20 the asymptotic series loses
-    accuracy, so an r_max under 20 leaves radii to it that it serves poorly.
+    QuadratureConvergenceError.  r_max defaults to ``_table_edge(alpha)``,
+    where the far-field series takes over.  It may lie in [20, 50] for
+    1 <= alpha < 2, where the series serves every radius beyond it, and in
+    (0, 12] at alpha = 2; anything else raises ValueError.
     """
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    edge = _table_edge(alpha)
     if r_max is None:
-        r_max = 12.0 if alpha >= 2.0 else _R_TABLE
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-    u_top = np.log1p(r_max)
-    if n_nodes is None:
-        # dense where pointwise accuracy matters, sparse beyond
-        u_split = min(np.log1p(_R_TABLE), u_top)
-        u = np.arange(0.0, u_split, 0.003)
-        if u_split < u_top:
-            u = np.concatenate([u, np.arange(u_split, u_top, 0.015)])
-        u = np.concatenate([u, [u_top]])
+        r_max = edge
+    if alpha >= 2.0:
+        ok, allowed = 0.0 < r_max <= edge, f"(0, {edge:g}]"
     else:
-        u = np.linspace(0.0, u_top, n_nodes)
-    n_nodes = len(u)
-    radii = np.expm1(u)
-    radii[-1] = r_max
+        ok, allowed = _SERIES_FROM <= r_max <= edge, f"[{_SERIES_FROM:g}, {edge:g}]"
+    if not ok:
+        raise ValueError(f"r_max must lie in {allowed} at alpha = {alpha}, got {r_max}")
+    radii = _radial_grid(r_max, 0.003, n_nodes)
     vals = np.array([_radial_value(alpha, r) for r in radii])
     if np.any(vals <= 0):
         raise QuadratureConvergenceError("kernel profile lost positivity")
     if np.any(np.diff(vals) >= 0):
         raise QuadratureConvergenceError("kernel profile lost monotonicity")
-    check_idx = np.unique(np.linspace(0, n_nodes - 1, 25).astype(int))
+    check_idx = np.unique(np.linspace(0, len(radii) - 1, 25).astype(int))
     for i in check_idx:
         ref = _radial_value(alpha, radii[i], order=18)
         # the absolute term allows for roundoff in the cancelling lobe sums
@@ -316,7 +329,7 @@ def kernel_eval_radial(profile: KernelProfile, t: float, r) -> np.ndarray:
 class KernelDerivativeProfile:
     """
     Radial tabulation of the unit-time profile derivatives backing
-    grad^kappa p(1, .) for |kappa| <= 2, plus a 2D sample patch.
+    grad^kappa p(1, .) for |kappa| <= 2.
 
     Stored components: slope(r) = g'(r)/r (finite at 0) and curvature g''(r),
     from which the Cartesian derivatives follow by the chain rule.
@@ -328,8 +341,6 @@ class KernelDerivativeProfile:
     radii: np.ndarray = field(repr=False)
     slope_over_r: np.ndarray = field(repr=False)  # g'/r, negative
     curvature: np.ndarray = field(repr=False)  # g''
-    patch_coords: np.ndarray = field(repr=False)
-    patch_values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.kappa.order > 2:
@@ -374,38 +385,23 @@ class KernelDerivativeProfile:
         return out
 
 
-def build_derivative_profile(
-    alpha: float,
-    kappa: MultiIndex,
-    r_max: float | None = None,
-    n_nodes: int = 700,
-    patch_halfwidth: float = 20.0,
-    patch_n: int = 41,
-) -> KernelDerivativeProfile:
-    """Tabulate g'/r and g'' radially and sample grad^kappa p(1,.) on a patch."""
+def build_derivative_profile(alpha: float, kappa: MultiIndex) -> KernelDerivativeProfile:
+    """Tabulate g'/r and g'' radially up to ``_table_edge(alpha)``."""
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
     if kappa.order == 0 or kappa.order > 2:
         raise ValueError("kappa order must be 1 or 2")
-    if r_max is None:
-        r_max = max(80.0, 2.0 * patch_halfwidth)
-    u = np.linspace(0.0, np.log1p(r_max), n_nodes)
-    radii = np.expm1(u)
-    radii[-1] = r_max
-    h = np.empty(n_nodes)
-    c = np.empty(n_nodes)
+    r_max = _table_edge(alpha)
+    radii = _radial_grid(r_max, 0.006)  # twice the profile's step: 657 radii to r = 50
+    h = np.empty(len(radii))
+    c = np.empty(len(radii))
     for i, r in enumerate(radii):
         dgi, ci = _radial_derivatives(alpha, r)
         c[i] = ci
         h[i] = dgi / r if r > 0 else ci  # g'/r -> g''(0) at the origin
     if np.any(h >= 0):
         raise QuadratureConvergenceError("radial slope lost its sign")
-    xs = np.linspace(-patch_halfwidth, patch_halfwidth, patch_n)
-    px, py = np.meshgrid(xs, xs, indexing="ij")
-    coords = np.stack([px, py], axis=-1)
-    prof = KernelDerivativeProfile(alpha, kappa, float(r_max), radii, h, c, coords, np.zeros_like(px))
-    object.__setattr__(prof, "patch_values", prof.eval_unit_time(coords))
-    return prof
+    return KernelDerivativeProfile(alpha, kappa, r_max, radii, h, c)
 
 
 def kernel_derivative_eval(dprofile: KernelDerivativeProfile, t: float, x) -> np.ndarray | float:
@@ -424,6 +420,14 @@ def kernel_derivative_eval(dprofile: KernelDerivativeProfile, t: float, x) -> np
 # ---------------------------------------------------------------------------
 
 
+def estimate_ratios(profile: KernelProfile, t_set: Sequence[float], r: np.ndarray) -> np.ndarray:
+    """p(t,r) (t^(1/a)+r)^(2+a) / t for every t of ``t_set`` (rows) and radius r (columns)."""
+    a = profile.alpha
+    r = np.asarray(r, dtype=float)
+    return np.array([kernel_eval_radial(profile, t, r) * (t ** (1.0 / a) + r) ** (2.0 + a) / t
+                     for t in np.asarray(t_set, dtype=float)])
+
+
 def check_two_sided_estimate(
     profile: KernelProfile, t_set: Sequence[float], x_set: np.ndarray
 ) -> tuple[float, float]:
@@ -432,15 +436,8 @@ def check_two_sided_estimate(
     x_set = np.asarray(x_set, dtype=float)
     if t_set.size == 0 or x_set.size == 0:
         raise ValueError("sweep sets must be nonempty")
-    r = np.hypot(x_set[..., 0], x_set[..., 1]).ravel()
-    a = profile.alpha
-    lo, hi = np.inf, -np.inf
-    for t in t_set:
-        p = kernel_eval_radial(profile, t, r)
-        ratio = p * (t ** (1.0 / a) + r) ** (2.0 + a) / t
-        lo = min(lo, float(ratio.min()))
-        hi = max(hi, float(ratio.max()))
-    return lo, hi
+    ratio = estimate_ratios(profile, t_set, np.hypot(x_set[..., 0], x_set[..., 1]).ravel())
+    return float(ratio.min()), float(ratio.max())
 
 
 def riesz_kernel_bound_check(
@@ -564,7 +561,7 @@ def kernel_lp_norm(
     if kappa.order > 1:
         raise ValueError("norms are provided for |kappa| <= 1")
     a = profile.alpha
-    r_edge = _R_TABLE * t ** (1.0 / a)
+    r_edge = 50.0 * t ** (1.0 / a)  # where the closed-form tail starts
     if np.isinf(p):
         if kappa.order == 0:
             return float(kernel_eval_radial(profile, t, np.zeros(1))[0])

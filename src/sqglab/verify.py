@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_semigroup, lp_norm
-from .solver import SimulationResult, critical_exponent
+from .solver import DiagnosticRecord, SimulationResult, critical_exponent
 
 if TYPE_CHECKING:
     from .runconfig import RunConfig
@@ -33,6 +33,7 @@ __all__ = [
     "limit_scan",
     "gradient_bound_diag",
     "decay_slope_fit",
+    "diagnostics_slope_fit",
     "above_critical_local_check",
     "expected_decay_exponent",
     "semigroup_reference",
@@ -256,6 +257,25 @@ def decay_slope_fit(
     )
 
 
+def diagnostics_slope_fit(
+    alpha: float,
+    records: Sequence[DiagnosticRecord],
+    quantity: str,
+    tolerance: float,
+    t_lo: float = -math.inf,
+    t_hi: float = math.inf,
+    expected: float | None = None,
+) -> SlopeFit:
+    """Decay fit of one diagnostics column over t_lo <= t <= t_hi; by default
+    against the critical-data exponent of ``expected_decay_exponent("theta_lp", alpha)``."""
+    if expected is None:
+        expected = expected_decay_exponent("theta_lp", alpha)
+    ts = np.array([r.time for r in records])
+    vs = np.array([getattr(r, quantity) for r in records])
+    keep = (ts >= t_lo) & (ts <= t_hi)
+    return decay_slope_fit(ts[keep], vs[keep], expected, quantity, tolerance)
+
+
 def above_critical_local_check(
     result: SimulationResult,
     p_exp: float,
@@ -377,18 +397,14 @@ def _check_gradients(cfg: RunConfig, result: SimulationResult) -> list[VerdictRo
 
 
 def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
-    expected = expected_decay_exponent("theta_lp", cfg.alpha)
-    t_lo = cfg.slope_t_lo or 0.0
-    t_hi = cfg.slope_t_hi or np.inf
-    ts = np.array([r.time for r in result.diagnostics])
-    keep = (ts >= t_lo) & (ts <= t_hi)
     rows = []
     for q in cfg.slope_quantities or ("linf", "riesz_linf"):
-        vs = np.array([getattr(r, q) for r in result.diagnostics])
         try:
-            fit = decay_slope_fit(ts[keep], vs[keep], expected, q, cfg.slope_tolerance)
+            # slope_t_hi = 0 leaves the window open above
+            fit = diagnostics_slope_fit(cfg.alpha, result.diagnostics, q, cfg.slope_tolerance,
+                                        cfg.slope_t_lo, cfg.slope_t_hi or math.inf)
             rows.append(VerdictRow(f"slope_{q}", fit.slope,
-                                   f"{expected:+.4f} +/- {cfg.slope_tolerance}", fit.passed))
+                                   f"{fit.expected:+.4f} +/- {cfg.slope_tolerance}", fit.passed))
         except ValueError as e:
             rows.append(VerdictRow(f"slope_{q}", float("nan"), str(e), False))
     return rows

@@ -346,7 +346,7 @@ class TestVerifyCli:
     def test_kernel_alpha_mismatch(self, linear_run_dir, tmp_path, capsys):
         from sqglab.kernel import build_profile, save_profile
 
-        prof = build_profile(1.2, r_max=80.0)
+        prof = build_profile(1.2)
         kp = tmp_path / "k12.sqgk"
         save_profile(prof, kp)
         assert run_cli("verify", "--run", linear_run_dir, "--kernel", kp) == 2
@@ -410,7 +410,7 @@ class TestVerifyCli:
 
 class TestKernelCli:
     def test_profile_and_sweep(self, tmp_path, capsys):
-        assert run_cli("kernel", "--alpha", 1.5, "--r-max", 150, "--out", tmp_path) == 0
+        assert run_cli("kernel", "--alpha", 1.5, "--out", tmp_path) == 0
         out = capsys.readouterr().out
         assert "mass=" in out
         assert (tmp_path / "profile_a1.5.sqgk").exists()
@@ -420,10 +420,38 @@ class TestKernelCli:
         a = tmp_path / "a"
         b = tmp_path / "b"
         for d in (a, b):
-            assert run_cli("kernel", "--alpha", 1.8, "--r-max", 100, "--out", d) == 0
+            assert run_cli("kernel", "--alpha", 1.8, "--out", d) == 0
         fa = (a / "profile_a1.8.sqgk").read_bytes()
         fb = (b / "profile_a1.8.sqgk").read_bytes()
         assert fa == fb
+
+    def test_sweep_bounds_are_the_csv_extremes(self, tmp_path, capsys):
+        assert run_cli("kernel", "--alpha", 1.2, "--out", tmp_path) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        with open(tmp_path / "estimate_sweep_a1.2.csv", newline="") as fh:
+            ratios = [float(row["ratio"]) for row in csv.DictReader(fh)]
+        assert len(ratios) == 13 * 41
+        assert line.startswith(f"two-sided ratio over sweep: [{min(ratios):.6g}, {max(ratios):.6g}]")
+
+    def test_table_edge_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            run_cli("kernel", "--alpha", 1.5, "--r-max", 100, "--out", tmp_path)
+        assert e.value.code == 2
+
+    def test_unreachable_tolerance_exit_two(self, tmp_path, capsys):
+        assert run_cli("kernel", "--alpha", 1.5, "--tol", "1e-20", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Hankel quadrature at r=")
+        assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("sqglab.cli._cmd_kernel", broken)
+    assert run_cli("kernel", "--alpha", 1.5, "--out", tmp_path) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
 
 class TestSpecialCli:

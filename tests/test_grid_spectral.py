@@ -6,6 +6,7 @@ from sqglab.grid import (
     GridSpec,
     MultiIndex,
     RealField,
+    _Spectra,
     apply_derivative,
     apply_fractional_laplacian,
     apply_riesz,
@@ -45,7 +46,7 @@ class TestGridSpec:
 
     def test_wavenumber_range(self):
         g = GridSpec(16, 4.0)
-        kx, _ = g.wavenumbers()
+        kx = _Spectra.of(g).kx
         base = 2 * np.pi / 4.0
         assert kx.min() == pytest.approx(-8 * base)
         assert kx.max() == pytest.approx(7 * base)

@@ -80,13 +80,27 @@ class TestProfileBuild:
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):
-            build_profile(1.5, r_max=100.0, tol=1e-16)
+            build_profile(1.5, tol=1e-16)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
             build_profile(0.8)
         with pytest.raises(ValueError):
             build_profile(1.5, r_max=-1.0)
+
+    @pytest.mark.parametrize("alpha, r_max", [
+        (1.8, 5.0), (1.5, 19.9), (1.5, 100.0), (1.2, 2800.0), (2.0, 0.0), (2.0, 12.5), (1.5, math.nan),
+    ])
+    def test_r_max_outside_the_series_range_rejected(self, alpha, r_max):
+        # below r = 20 the series is not accurate, beyond the edge quadrature is not
+        with pytest.raises(ValueError, match="r_max"):
+            build_profile(alpha, r_max=r_max)
+
+    def test_table_edge(self):
+        assert [kernel._table_edge(a) for a in (1.0, 1.2, 1.5, 1.8, 2.0)] == [50.0] * 4 + [12.0]
+        for a in (1.2, 2.0):
+            prof = build_profile(a, n_nodes=200)
+            assert prof.r_max == prof.radii[-1] == kernel._table_edge(a)
 
 
 class TestFarField:
@@ -124,16 +138,30 @@ class TestFarField:
         )
         assert kernel._far_mass(alpha, r0) == pytest.approx(direct, rel=1e-12)
 
-    def test_table_to_2800_loads(self, profile15, tmp_path):
+    @pytest.fixture(scope="class")
+    def wide15(self, profile15):
+        # the layout files written with the former default r_max = 2800 hold:
+        # order-12 quadrature every 0.015 in log1p(r) beyond r = 50
+        extra = np.expm1(np.arange(np.log1p(50.0) + 0.015, np.log1p(2800.0), 0.015))
+        radii = np.concatenate([profile15.radii, extra, [2800.0]])
+        values = np.array([kernel._radial_value(1.5, r) for r in radii[len(profile15.radii):]])
+        return KernelProfile(1.5, 2800.0, radii, np.concatenate([profile15.values, values]))
+
+    def test_table_to_2800_loads(self, profile15, wide15, tmp_path):
         # profile files tabulated to r = 2800 by quadrature keep loading and
         # agree with the default table where both tabulate
         path = tmp_path / "wide.sqgk"
-        save_profile(build_profile(1.5, r_max=2800.0), path)
+        save_profile(wide15, path)
         wide = load_profile(path)
         assert wide.r_max == 2800.0
         rs = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 400)])
         assert np.max(np.abs(wide(rs) - profile15(rs)) / profile15(rs)) <= 1e-8
         assert abs(wide.total_mass() - 1.0) < 1e-8
+
+    def test_wide_table_serves_the_series_past_the_edge(self, wide15):
+        rs = np.geomspace(50.0 * (1 + 1e-12), 2790.0, 200)
+        assert np.array_equal(wide15(rs), kernel._far_field(1.5, rs)[0])
+        assert wide15(50.0) == pytest.approx(kernel._radial_value(1.5, 50.0), rel=1e-12)
 
 
 class TestKernelEval:
@@ -225,10 +253,10 @@ class TestDerivatives:
 
     def test_domination_by_kernel(self, profile15, dprofile15_10, dprofile15_20):
         # |grad^kappa p(1,x)| <= c p(1,x) on the patch, finite c
-        coords = dprofile15_10.patch_coords
+        coords, _, _ = patch_samples(lambda X, Y: X, 20.0, 41)
         p = kernel_eval_radial(profile15, 1.0, np.hypot(coords[..., 0], coords[..., 1]))
         for dp in (dprofile15_10, dprofile15_20):
-            ratio = np.abs(dp.patch_values) / p
+            ratio = np.abs(dp.eval_unit_time(coords)) / p
             assert np.isfinite(ratio).all()
             assert ratio.max() < 50.0
 
@@ -244,6 +272,18 @@ class TestDerivatives:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             build_derivative_profile(1.5, MultiIndex(0, 0))
+
+    def test_table_stops_at_the_edge(self, dprofile15_10):
+        assert dprofile15_10.r_max == dprofile15_10.radii[-1] == 50.0
+        rs = np.geomspace(50.0 * (1 + 1e-12), 500.0, 50)
+        assert np.array_equal(dprofile15_10._h(rs), kernel._far_field(1.5, rs)[1])
+
+    def test_gaussian_endpoint(self):
+        dp = build_derivative_profile(2.0, MultiIndex(1, 0))
+        assert dp.r_max == 12.0
+        rs = np.linspace(0.0, 8.0, 41)
+        g = np.exp(-(rs**2) / 4) / (4 * np.pi)
+        assert np.max(np.abs(dp._h(rs) / (-g / 2) - 1.0)) <= 1e-6
 
 
 class TestLpNorms:

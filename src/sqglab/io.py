@@ -84,14 +84,20 @@ def write_diagnostics(path, records) -> None:
 
 
 def read_diagnostics(path) -> list[DiagnosticRecord]:
+    """The records of a diagnostics CSV; a bad header or row names the file and line."""
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        if tuple(header) != DIAG_COLUMNS:
+        header = next(rd, None)
+        if header is None or tuple(header) != DIAG_COLUMNS:
             raise ValueError(f"{path}: unexpected diagnostics columns {header}")
         for row in rd:
-            out.append(DiagnosticRecord(*[float(x) for x in row]))
+            try:
+                if len(row) != len(DIAG_COLUMNS):
+                    raise ValueError(f"expected {len(DIAG_COLUMNS)} cells, found {len(row)}")
+                out.append(DiagnosticRecord(*[float(x) for x in row]))
+            except ValueError as e:
+                raise ValueError(f"{path}, line {rd.line_num}: {e}") from None
     return out
 
 

@@ -11,15 +11,18 @@ a power substitution that removes the s^alpha cusp at the origin.  One node
 builder, ``_hankel_nodes``, serves both the profile and the whole-space
 Gaussian semigroup, and every panel comes from ``special._gauss_panels``.
 Other times follow from the exact scaling
-p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  Every quadrature table, of the
-profile and of its derivatives, stops at ``_table_edge(alpha)`` (r = 50 for
-1 <= alpha < 2, 12 at alpha = 2); beyond it the profile, its mass and its
+p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  One table serves p and its
+derivatives: a quintic interpolating spline F of log p(1, r) in v = r^2, so
+that g = e^F, g'/r = 2 g F' and (g'' - g'/r)/r^2 = 4 g (F'^2 + F''), smooth
+through the origin.  The table is read up to ``_table_edge(alpha)`` (r = 50
+for 1 <= alpha < 2, 8 at alpha = 2); beyond it the profile, its mass and its
 derivatives come termwise from the exact far-field series of
 ``_series_terms``, and at alpha = 2 from the Gaussian itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly, make_interp_spline
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz
 from .io import _read_exact
@@ -129,7 +132,8 @@ def _radial_value(alpha: float, r: float, order: int = 12) -> float:
 
 
 def _radial_derivatives(alpha: float, r: float, order: int = 12) -> tuple[float, float]:
-    """(g', g'') of the unit-time kernel profile at radius r >= 0."""
+    """(g', g'') of the unit-time kernel profile at radius r >= 0 by quadrature:
+    the oracle the spline derivatives of ``KernelProfile.radial`` are tested against."""
     s, damp = _damped_nodes(alpha, r, order)
     sr = s * r
     j1 = _sp.j1(sr)
@@ -148,20 +152,10 @@ _SERIES_TERMS = 12
 
 
 def _table_edge(alpha: float) -> float:
-    """Radius where every quadrature table stops and ``_far_field`` takes over:
-    50 for 1 <= alpha < 2, 12 at alpha = 2, where the Gaussian nears roundoff."""
-    return 12.0 if alpha >= 2.0 else 50.0
-
-
-def _radial_grid(r_max: float, step: float, n_nodes: int | None = None) -> np.ndarray:
-    """Table radii expm1(u): u = 0, step, 2 step, ... below log1p(r_max) (or
-    ``n_nodes`` even steps to it), closed by r_max itself."""
-    u_top = np.log1p(r_max)
-    u = (np.append(np.arange(0.0, u_top, step), u_top) if n_nodes is None
-         else np.linspace(0.0, u_top, n_nodes))
-    radii = np.expm1(u)
-    radii[-1] = r_max
-    return radii
+    """Radius where the table stops and ``_far_field`` takes over: 50 for
+    1 <= alpha < 2; 8 at alpha = 2, past which the cancelling lobe sums of
+    the quadrature miss the Gaussian (by 1e-1 relative on [10, 12])."""
+    return 8.0 if alpha >= 2.0 else 50.0
 
 
 def _series_terms(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,15 +173,17 @@ def _series_terms(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _far_field(alpha: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, g'/r, g'') of the unit-time profile at large r, termwise from the series."""
+    """(g, g'/r, (g'' - g'/r)/r^2) of the unit-time profile at large r, termwise
+    from the series: the k-th term c_k r^(-2-ak) contributes
+    -c_k (2+ak) r^(-4-ak) and c_k (2+ak)(4+ak) r^(-6-ak)."""
     r = np.asarray(r, dtype=float)
     if alpha >= 2.0:  # every series term vanishes: the Gaussian itself
         g = np.exp(-(r**2) / 4.0) / (4.0 * np.pi)
-        return g, -g / 2.0, (r**2 / 4.0 - 0.5) * g
+        return g, -g / 2.0, g / 4.0
     c, ak = _series_terms(alpha)
     terms = c * r[..., None] ** (-2.0 - ak)
     r2 = r**2
-    return terms.sum(-1), -(terms @ (2.0 + ak)) / r2, (terms @ ((2.0 + ak) * (3.0 + ak))) / r2
+    return terms.sum(-1), -(terms @ (2.0 + ak)) / r2, (terms @ ((2.0 + ak) * (4.0 + ak))) / r2**2
 
 
 def _far_mass(alpha: float, r_max: float) -> float:
@@ -220,19 +216,13 @@ def levy_density(z, alpha: float) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _table_or_series(r, r_max: float, table, alpha: float, part: int) -> np.ndarray:
-    """``table(log1p(r))`` up to min(r_max, edge), component ``part`` of ``_far_field`` beyond."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    inside = r <= min(r_max, _table_edge(alpha))
-    out[inside] = table(np.log1p(r[inside]))
-    out[~inside] = _far_field(alpha, r[~inside])[part]
-    return out
-
-
 @dataclass(frozen=True)
 class KernelProfile:
-    """Tabulated radial profile of the unit-time kernel, far-field series beyond."""
+    """
+    Tabulated radial profile g = p(1, .) of the unit-time kernel, far-field
+    series beyond.  Construction copies ``radii`` and ``values`` into
+    read-only arrays and validates them, for built and loaded tables alike.
+    """
 
     alpha: float
     r_max: float
@@ -240,29 +230,68 @@ class KernelProfile:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        interp = PchipInterpolator(np.log1p(self.radii), np.log(self.values), extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
+        radii, values = (np.array(a, dtype=float) for a in (self.radii, self.values))
+        if not 1.0 <= self.alpha <= 2.0:
+            raise ValueError(f"alpha must lie in [1, 2], got {self.alpha}")
+        # six nodes are the fewest a quintic interpolating spline takes
+        if radii.ndim != 1 or len(radii) < 6 or values.shape != radii.shape:
+            raise ValueError(f"need at least 6 radii and as many values, got {radii.shape} and {values.shape}")
+        if radii[0] != 0.0 or not np.all(np.diff(radii) > 0) or not np.isfinite(radii[-1]):
+            raise ValueError("radii must start at 0 and increase strictly to a finite r_max")
+        if radii[-1] != self.r_max:
+            raise ValueError(f"last radius {radii[-1]} is not r_max = {self.r_max}")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError("kernel values must be finite and positive")
+        if self.alpha < 2.0 and not self.r_max >= _SERIES_FROM:
+            raise ValueError(f"r_max must be at least {_SERIES_FROM:g} at alpha = {self.alpha}, "
+                             f"where the far-field series takes over; got {self.r_max}")
+        for name, a in (("radii", radii), ("values", values)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        log_g = PPoly.from_spline(make_interp_spline(radii**2, np.log(values), k=5))
+        object.__setattr__(self, "_log_g", log_g)
+        object.__setattr__(self, "_top", min(self.r_max, _table_edge(self.alpha)))
 
     @property
     def tail_constant(self) -> float:
         """C of the leading far-field term p(1, r) ~ C r^(-2-alpha)."""
         return levy_constant(self.alpha)
 
+    def radial(self, r, derivatives: bool = True) -> np.ndarray:
+        """
+        Rows g, g'/r and (g'' - g'/r)/r^2 at radii r (the row g alone without
+        ``derivatives``).  Up to min(r_max, edge) they are e^F, 2 g F' and
+        4 g (F'^2 + F'') of the spline F of log g in v = r^2, finite through
+        r = 0; beyond, ``_far_field`` serves them termwise.
+        """
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        inside = r <= self._top
+        out = np.empty((3 if derivatives else 1,) + r.shape)
+        v = r[inside] ** 2
+        g = np.exp(self._log_g(v))
+        if derivatives:
+            f1, f2 = self._log_g(v, 1), self._log_g(v, 2)
+            out[:, inside] = g, 2.0 * g * f1, 4.0 * g * (f1**2 + f2)
+        else:
+            out[0, inside] = g
+        out[:, ~inside] = _far_field(self.alpha, r[~inside])[: len(out)]
+        return out
+
     def __call__(self, r) -> np.ndarray:
-        """p(1, r); the far-field series beyond the tabulated range."""
-        r = np.asarray(r, dtype=float)
-        out = _table_or_series(r, self.r_max, lambda u: np.exp(self._interp(u)), self.alpha, 0)
-        return float(out[0]) if r.ndim == 0 else out
+        """p(1, r); the far-field series beyond the table's reach."""
+        out = self.radial(r, derivatives=False)[0]
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def total_mass(self, order: int = 16) -> float:
         """2*pi int_0^inf p(1,r) r dr: the table up to min(r_max, edge), the series termwise beyond."""
-        top = min(self.r_max, _table_edge(self.alpha))
+        top = self._top
         un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), order)
         rn = np.expm1(un)
-        pn = np.exp(self._interp(un))
+        pn = np.exp(self._log_g(rn**2))
         return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
 
 
+@functools.lru_cache
 def build_profile(
     alpha: float,
     r_max: float | None = None,
@@ -277,7 +306,8 @@ def build_profile(
     QuadratureConvergenceError.  r_max defaults to ``_table_edge(alpha)``,
     where the far-field series takes over.  It may lie in [20, 50] for
     1 <= alpha < 2, where the series serves every radius beyond it, and in
-    (0, 12] at alpha = 2; anything else raises ValueError.
+    (0, 8] at alpha = 2; anything else raises ValueError.  Calls are
+    memoised: equal arguments return the same (immutable) profile.
     """
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
@@ -292,7 +322,12 @@ def build_profile(
         ok, allowed = _SERIES_FROM <= r_max <= edge, f"[{_SERIES_FROM:g}, {edge:g}]"
     if not ok:
         raise ValueError(f"r_max must lie in {allowed} at alpha = {alpha}, got {r_max}")
-    radii = _radial_grid(r_max, 0.003, n_nodes)
+    # radii expm1(u): u = 0, 0.003, 0.006, ... below log1p(r_max) (or n_nodes
+    # even steps to it), closed by r_max itself
+    u_top = np.log1p(r_max)
+    u = np.append(np.arange(0.0, u_top, 0.003), u_top) if n_nodes is None else np.linspace(0.0, u_top, n_nodes)
+    radii = np.expm1(u)
+    radii[-1] = r_max
     vals = np.array([_radial_value(alpha, r) for r in radii])
     if np.any(vals <= 0):
         raise QuadratureConvergenceError("kernel profile lost positivity")
@@ -307,7 +342,7 @@ def build_profile(
                 f"Hankel quadrature at r={radii[i]:.3g} differs by "
                 f"{abs(vals[i] - ref) / abs(ref):.2e} between orders"
             )
-    return KernelProfile(alpha, float(r_max), radii, vals)
+    return KernelProfile(float(alpha), float(r_max), radii, vals)
 
 
 def kernel_eval(profile: KernelProfile, t: float, x) -> np.ndarray | float:
@@ -328,80 +363,41 @@ def kernel_eval_radial(profile: KernelProfile, t: float, r) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelDerivativeProfile:
     """
-    Radial tabulation of the unit-time profile derivatives backing
-    grad^kappa p(1, .) for |kappa| <= 2.
-
-    Stored components: slope(r) = g'(r)/r (finite at 0) and curvature g''(r),
-    from which the Cartesian derivatives follow by the chain rule.
+    grad^kappa p(1, .) for 1 <= |kappa| <= 2 from the profile's own spline:
+    d_i p(1, x) = A x_i and d_ij p(1, x) = A delta_ij + B x_i x_j with
+    A = g'/r and B = (g'' - g'/r)/r^2 of ``KernelProfile.radial``.
     """
 
-    alpha: float
+    profile: KernelProfile
     kappa: MultiIndex
-    r_max: float
-    radii: np.ndarray = field(repr=False)
-    slope_over_r: np.ndarray = field(repr=False)  # g'/r, negative
-    curvature: np.ndarray = field(repr=False)  # g''
 
     def __post_init__(self) -> None:
-        if self.kappa.order > 2:
-            raise ValueError("derivative profiles support |kappa| <= 2")
-        u = np.log1p(self.radii)
-        h_interp = PchipInterpolator(u, np.log(-self.slope_over_r), extrapolate=False)
-        c_interp = PchipInterpolator(u, self.curvature, extrapolate=False)
-        object.__setattr__(self, "_h_interp", h_interp)
-        object.__setattr__(self, "_c_interp", c_interp)
+        if not 1 <= self.kappa.order <= 2:
+            raise ValueError("kappa order must be 1 or 2")
 
-    def _h(self, r: np.ndarray) -> np.ndarray:
-        return _table_or_series(r, self.r_max, lambda u: -np.exp(self._h_interp(u)), self.alpha, 1)
-
-    def _c(self, r: np.ndarray) -> np.ndarray:
-        return _table_or_series(r, self.r_max, self._c_interp, self.alpha, 2)
+    @property
+    def alpha(self) -> float:
+        return self.profile.alpha
 
     def eval_unit_time(self, x: np.ndarray, kappa: MultiIndex | None = None) -> np.ndarray:
         """grad^kappa p(1, x) for points x of shape (..., 2)."""
         kappa = kappa or self.kappa
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        x1, x2 = x[..., 0], x[..., 1]
-        r = np.hypot(x1, x2)
-        safe = np.maximum(r, 1e-300)
-        h = self._h(r)  # g'/r
         if kappa.order == 0:
             raise ValueError("use KernelProfile for the underived kernel")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x1, x2 = x[..., 0], x[..., 1]
+        _, a, b = self.profile.radial(np.hypot(x1, x2))
         if kappa.order == 1:
-            comp = x1 if kappa.k1 == 1 else x2
-            return h * comp
-        c = self._c(r)
-        c1, c2 = x1 / safe, x2 / safe
-        if (kappa.k1, kappa.k2) == (2, 0):
-            out = c * c1**2 + h * c2**2
-        elif (kappa.k1, kappa.k2) == (0, 2):
-            out = c * c2**2 + h * c1**2
-        else:  # (1, 1)
-            out = c1 * c2 * (c - h)
-        origin = r < 1e-12
-        if np.any(origin):
-            c0 = self._c(np.zeros(1))[0]
-            out = np.where(origin, c0 if kappa.k1 != 1 else 0.0, out)
-        return out
+            return a * (x1 if kappa.k1 == 1 else x2)
+        if kappa.k1 == 1:  # the mixed derivative
+            return b * x1 * x2
+        xi = x1 if kappa.k1 == 2 else x2
+        return a + b * xi**2
 
 
 def build_derivative_profile(alpha: float, kappa: MultiIndex) -> KernelDerivativeProfile:
-    """Tabulate g'/r and g'' radially up to ``_table_edge(alpha)``."""
-    if not 1.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
-    if kappa.order == 0 or kappa.order > 2:
-        raise ValueError("kappa order must be 1 or 2")
-    r_max = _table_edge(alpha)
-    radii = _radial_grid(r_max, 0.006)  # twice the profile's step: 657 radii to r = 50
-    h = np.empty(len(radii))
-    c = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        dgi, ci = _radial_derivatives(alpha, r)
-        c[i] = ci
-        h[i] = dgi / r if r > 0 else ci  # g'/r -> g''(0) at the origin
-    if np.any(h >= 0):
-        raise QuadratureConvergenceError("radial slope lost its sign")
-    return KernelDerivativeProfile(alpha, kappa, r_max, radii, h, c)
+    """grad^kappa p(1, .) over the (memoised) ``build_profile(alpha)``."""
+    return KernelDerivativeProfile(build_profile(alpha), kappa)
 
 
 def kernel_derivative_eval(dprofile: KernelDerivativeProfile, t: float, x) -> np.ndarray | float:
@@ -556,7 +552,8 @@ def kernel_lp_norm(
     """
     ||grad^kappa p(t, .)||_p for |kappa| <= 1 by radial quadrature with the
     exact angular factor out to r = 50 t^(1/alpha), plus the closed form of
-    the leading power tail beyond.
+    the leading power tail beyond.  The gradient comes from ``profile``'s
+    own g'/r; ``dprofile`` is not read and may be None.
     """
     if kappa.order > 1:
         raise ValueError("norms are provided for |kappa| <= 1")
@@ -566,7 +563,7 @@ def kernel_lp_norm(
         if kappa.order == 0:
             return float(kernel_eval_radial(profile, t, np.zeros(1))[0])
         rr = np.expm1(np.linspace(0, np.log1p(r_edge), n_radial))
-        comp = np.abs(dprofile._h(rr * t ** (-1.0 / a)) * rr * t ** (-1.0 / a))
+        comp = np.abs(profile.radial(rr * t ** (-1.0 / a))[1] * rr * t ** (-1.0 / a))
         return float(comp.max() * t ** (-(2.0 + 1.0) / a))
     un, uw = _gauss_panels(np.linspace(0.0, np.log1p(r_edge), n_radial), 12)
     rn = np.expm1(un)
@@ -578,7 +575,7 @@ def kernel_lp_norm(
         tail_pow = 2.0 + a
     else:
         z = rn * t ** (-1.0 / a)
-        vals = np.abs(dprofile._h(z) * z) * t ** (-(3.0) / a)
+        vals = np.abs(profile.radial(z)[1] * z) * t ** (-(3.0) / a)
         ang = 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
         tail_mag = (2.0 + a) * profile.tail_constant * t
         tail_pow = 3.0 + a
@@ -615,6 +612,9 @@ def load_profile(path) -> KernelProfile:
         if version != PROFILE_VERSION:
             raise ValueError(f"{path}: unsupported profile version {version}")
         alpha, r_max, count = struct.unpack("<ddI", _read_exact(fh, 20, path))
-        radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
-        values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8").copy()
-    return KernelProfile(alpha, r_max, radii, values)
+        radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
+        values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
+    try:
+        return KernelProfile(alpha, r_max, radii, values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

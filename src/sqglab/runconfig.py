@@ -6,7 +6,9 @@ Each ``RunConfig`` field names its own INI ``(section, key)`` in its
 metadata; parsing and serializing are one loop over the fields, with one
 (parse, format) pair per field type.  Values are literal: ``%`` has no
 interpolation meaning, and on/off fields accept only on/off, true/false,
-yes/no and 1/0.
+yes/no and 1/0.  A section or key that no field names (``[DEFAULT]``
+included) is an error naming it; only the retired keys of ``_RETIRED`` are
+read and ignored.
 """
 
 from __future__ import annotations
@@ -177,12 +179,31 @@ _CODECS = {
 }
 
 
+# keys a former RunConfig read, accepted and ignored so that old run directories load
+_RETIRED = (("initial_data", "seed"),)
+
+
+def _reject_unknown(cp: configparser.ConfigParser) -> None:
+    """Every section and key of the text must be a RunConfig field's (or retired)."""
+    names = [f.metadata["ini"] for f in fields(RunConfig)] + list(_RETIRED)
+    known = {(section, cp.optionxform(key)) for section, key in names}
+    given = [(cp.default_section, key) for key in cp.defaults()]
+    given += [(section, key) for section in cp.sections() for key in cp.options(section)]
+    for section, key in given:
+        if (section, key) not in known:
+            raise ConfigError(f"{section}.{key}: unknown key")
+    for section in cp.sections():
+        if section not in {s for s, _ in names}:
+            raise ConfigError(f"[{section}]: unknown section")
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config syntax: {e}") from e
+    _reject_unknown(cp)
     values = {}
     for f in fields(RunConfig):
         section, key = f.metadata["ini"]

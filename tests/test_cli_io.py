@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def write_raw_profile(path, alpha, r_max, radii, values):
+    """A .sqgk file holding whatever table it is given, valid or not."""
+    with open(path, "wb") as fh:
+        fh.write(b"SQGK" + struct.pack("<IddI", 1, alpha, r_max, len(radii)))
+        fh.write(np.asarray(radii, "<f8").tobytes() + np.asarray(values, "<f8").tobytes())
+
+
 class TestRunConfig:
     def test_round_trip_identity(self):
         cfg = parse_config(BASE_CONFIG.format(out="x"))
@@ -97,6 +105,18 @@ class TestRunConfig:
     def test_unknown_slope_quantity(self):
         text = BASE_CONFIG.format(out="x") + "slope_quantities = linf, vibes\n"
         with pytest.raises(ConfigError, match="verification.slope_quantities: unknown 'vibes'"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("snapshot_times = 0.1, 0.3", "snapshot_time = 0.05", "solver.snapshot_time"),
+        ("[grid]", "[DEFAULT]\nn = 64\n[grid]", "DEFAULT.n"),
+        ("[output]", "[extra]\njunk = 1\n[output]", "extra.junk"),
+        ("[output]", "[Grid]\nn = 64\n[output]", "Grid.n"),
+        ("[output]", "[extra]\n[output]", r"\[extra\]: unknown section"),
+    ])
+    def test_unknown_section_or_key_named(self, old, new, name):
+        text = BASE_CONFIG.format(out="x").replace(old, new)
+        with pytest.raises(ConfigError, match=name):
             parse_config(text)
 
     def test_syntax_error_reported(self):
@@ -188,7 +208,7 @@ def _valid_configs(draw):
     )
 
 
-# every (section, key) of the format, plus keys the parser must ignore
+# every (section, key) of the format, plus keys the parser must reject
 _KEYS = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)] + [("DEFAULT", "n"), ("extra", "junk")]
 _VALUES = st.one_of(
     st.text(max_size=20),
@@ -263,6 +283,26 @@ class TestDiagnosticsIO:
         again = read_diagnostics(p)
         assert again == recs
 
+    @pytest.mark.parametrize("row, why", [
+        ("0.3,1.0,2.0", "expected 6 cells, found 3"),
+        ("0.3,1.0,2.0,3.0,0.5,0.01,7.0", "expected 6 cells, found 7"),
+        ("0.3,1.0,abc,3.0,0.5,0.01", "abc"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, why):
+        p = tmp_path / "d.csv"
+        write_diagnostics(p, [DiagnosticRecord(0.1 * i, 1.0, 2.0, 3.0, 0.5, 0.01) for i in range(3)])
+        lines = p.read_text().splitlines()
+        lines[3] = row
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"d.csv, line 4: .*{why}"):
+            read_diagnostics(p)
+
+    def test_empty_file_names_file(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            read_diagnostics(p)
+
 
 class TestSimulateCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -301,6 +341,14 @@ class TestSimulateCli:
         cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "o").replace("alpha = 1.5", "alpha = 2.5"))
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_misspelt_key_exit_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "o"
+        cfgfile.write_text(BASE_CONFIG.format(out=out).replace("snapshot_times = 0.1, 0.3", "snapshot_time = 0.05"))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert "solver.snapshot_time" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_error_exit_two(self, tmp_path):
         # a Picard run far outside the contraction regime is reported as an
@@ -351,6 +399,20 @@ class TestVerifyCli:
         save_profile(prof, kp)
         assert run_cli("verify", "--run", linear_run_dir, "--kernel", kp) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_bad_kernel_file_exit_two(self, linear_run_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.sqgk"
+        radii = np.expm1(np.linspace(0.0, np.log1p(5.0), 8))
+        write_raw_profile(bad, 1.5, 5.0, radii, np.exp(-radii))
+        assert run_cli("verify", "--run", linear_run_dir, "--kernel", bad) == 2
+        assert "bad.sqgk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["verify", "fit"])
+    def test_bad_diagnostics_row_exit_two(self, linear_run_dir, capsys, verb):
+        diag = linear_run_dir / "diagnostics.csv"
+        diag.write_text(diag.read_text() + "0.5,1.0\n")
+        assert run_cli(verb, "--run", linear_run_dir) == 2
+        assert "diagnostics.csv, line" in capsys.readouterr().err
 
     def test_failing_check_exit_one(self, tmp_path, capsys):
         # an aggressive deviation threshold forces a check failure

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ class TestProfileBuild:
             build_profile(1.5, r_max=-1.0)
 
     @pytest.mark.parametrize("alpha, r_max", [
-        (1.8, 5.0), (1.5, 19.9), (1.5, 100.0), (1.2, 2800.0), (2.0, 0.0), (2.0, 12.5), (1.5, math.nan),
+        (1.8, 5.0), (1.5, 19.9), (1.5, 100.0), (1.2, 2800.0), (2.0, 0.0), (2.0, 8.5), (2.0, 12.5), (1.5, math.nan),
     ])
     def test_r_max_outside_the_series_range_rejected(self, alpha, r_max):
         # below r = 20 the series is not accurate, beyond the edge quadrature is not
@@ -97,7 +98,7 @@ class TestProfileBuild:
             build_profile(alpha, r_max=r_max)
 
     def test_table_edge(self):
-        assert [kernel._table_edge(a) for a in (1.0, 1.2, 1.5, 1.8, 2.0)] == [50.0] * 4 + [12.0]
+        assert [kernel._table_edge(a) for a in (1.0, 1.2, 1.5, 1.8, 2.0)] == [50.0] * 4 + [8.0]
         for a in (1.2, 2.0):
             prof = build_profile(a, n_nodes=200)
             assert prof.r_max == prof.radii[-1] == kernel._table_edge(a)
@@ -117,9 +118,9 @@ class TestFarField:
         # which differs from order 12 by as much out here
         rs = np.geomspace(20.0, 80.0, 9)
         quad = np.array([kernel._radial_derivatives(alpha, r, order=18) for r in rs])
-        _, slope_over_r, curvature = kernel._far_field(alpha, rs)
+        _, slope_over_r, b = kernel._far_field(alpha, rs)
         assert np.max(np.abs(slope_over_r * rs / quad[:, 0] - 1.0)) <= 1e-8
-        assert np.max(np.abs(curvature / quad[:, 1] - 1.0)) <= 1e-6
+        assert np.max(np.abs((slope_over_r + b * rs**2) / quad[:, 1] - 1.0)) <= 1e-6
 
     def test_alpha_one_series_is_cauchy(self):
         # twelve terms are the binomial expansion of (1 + r^2)^(-3/2) through
@@ -131,7 +132,7 @@ class TestFarField:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.2, 1.5, 1.8, 2.0])
     def test_mass_tail_closed_form(self, alpha):
-        r0 = 12.0 if alpha == 2.0 else 50.0
+        r0 = 8.0 if alpha == 2.0 else 50.0
         direct, _ = integrate.quad(
             lambda r: 2 * np.pi * r * kernel._far_field(alpha, r)[0], r0, np.inf,
             epsabs=0.0, epsrel=1e-13, limit=200,
@@ -274,16 +275,64 @@ class TestDerivatives:
             build_derivative_profile(1.5, MultiIndex(0, 0))
 
     def test_table_stops_at_the_edge(self, dprofile15_10):
-        assert dprofile15_10.r_max == dprofile15_10.radii[-1] == 50.0
+        assert dprofile15_10.profile.r_max == dprofile15_10.profile.radii[-1] == 50.0
         rs = np.geomspace(50.0 * (1 + 1e-12), 500.0, 50)
-        assert np.array_equal(dprofile15_10._h(rs), kernel._far_field(1.5, rs)[1])
+        assert np.array_equal(dprofile15_10.profile.radial(rs), np.array(kernel._far_field(1.5, rs)))
 
     def test_gaussian_endpoint(self):
         dp = build_derivative_profile(2.0, MultiIndex(1, 0))
-        assert dp.r_max == 12.0
+        assert dp.profile.r_max == 8.0
         rs = np.linspace(0.0, 8.0, 41)
         g = np.exp(-(rs**2) / 4) / (4 * np.pi)
-        assert np.max(np.abs(dp._h(rs) / (-g / 2) - 1.0)) <= 1e-6
+        _, a, b = dp.profile.radial(rs)
+        assert np.max(np.abs(a / (-g / 2) - 1.0)) <= 1e-6
+        curv = (rs**2 / 4 - 0.5) * g  # g''
+        assert np.max(np.abs(a + b * rs**2 - curv) / np.maximum(np.abs(curv), g / 2)) <= 1e-6
+
+
+class TestSplineDerivatives:
+    """g'/r, (g'' - g'/r)/r^2 and g from the one spline of log g in r^2."""
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+    def test_against_order_18_quadrature(self, alpha):
+        prof = build_profile(alpha)
+        rs = np.concatenate([[0.0, 1e-12, 1e-9, 1e-6], np.geomspace(1e-3, kernel._table_edge(alpha), 60)])
+        quad = np.array([kernel._radial_derivatives(alpha, r, order=18) for r in rs])
+        curv = quad[:, 1]  # g''
+        slope = np.where(rs > 0, quad[:, 0] / np.where(rs > 0, rs, 1.0), curv)  # g'/r -> g''(0)
+        _, a, b = prof.radial(rs)
+        assert np.max(np.abs(a / slope - 1.0)) <= 1e-7
+        assert np.max(np.abs(a + b * rs**2 - curv) / np.maximum(np.abs(curv), np.abs(slope))) <= 1e-5
+        mid = 0.5 * (prof.radii[:-1] + prof.radii[1:])[::9]
+        quad_g = np.array([kernel._radial_value(alpha, r, order=18) for r in mid])
+        assert np.max(np.abs(prof(mid) / quad_g - 1.0)) <= 1e-8
+
+    def test_loaded_table_serves_the_same_derivatives(self, profile15, tmp_path):
+        path = tmp_path / "k.sqgk"
+        save_profile(profile15, path)
+        dp = kernel.KernelDerivativeProfile(load_profile(path), MultiIndex(1, 1))
+        built = build_derivative_profile(1.5, MultiIndex(1, 1))
+        xs = np.stack(np.meshgrid(np.linspace(-60.0, 60.0, 31), np.linspace(-3.0, 3.0, 17)), axis=-1)
+        assert np.array_equal(dp.eval_unit_time(xs), built.eval_unit_time(xs))
+        for kappa in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(0, 2)):
+            assert np.array_equal(dp.eval_unit_time(xs, kappa), built.eval_unit_time(xs, kappa))
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+    def test_hessian_at_origin(self, alpha):
+        # g''(0) = -(4 pi)^(-1) int_0^inf exp(-s^alpha) s^3 ds = -Gamma(4/alpha)/(4 pi alpha)
+        exact = -sp.gamma(4 / alpha) / (4 * np.pi * alpha)
+        for kappa in (MultiIndex(2, 0), MultiIndex(0, 2)):
+            got = kernel_derivative_eval(build_derivative_profile(alpha, kappa), 1.0, [0.0, 0.0])
+            assert got == pytest.approx(exact, rel=1e-9)
+        assert kernel_derivative_eval(build_derivative_profile(alpha, MultiIndex(1, 1)), 1.0, [0.0, 0.0]) == 0.0
+
+    def test_profile_is_built_once_and_frozen(self, profile15):
+        assert build_profile(1.5) is profile15
+        assert build_derivative_profile(1.5, MultiIndex(0, 1)).profile is profile15
+        for arr in (profile15.radii, profile15.values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestLpNorms:
@@ -511,8 +560,8 @@ class TestSerialization:
             load_profile(path)
 
     def test_every_truncation_names_file(self, tmp_path):
-        radii = np.expm1(np.linspace(0.0, np.log1p(4.0), 6))
-        small = KernelProfile(1.5, 4.0, radii, np.exp(-radii))
+        radii = np.expm1(np.linspace(0.0, np.log1p(20.0), 6))
+        small = KernelProfile(1.5, 20.0, radii, np.exp(-radii))
         full = tmp_path / "full.sqgk"
         save_profile(small, full)
         data = full.read_bytes()
@@ -521,6 +570,29 @@ class TestSerialization:
             cut.write_bytes(data[:size])
             with pytest.raises(ValueError, match="cut.sqgk"):
                 load_profile(cut)
+
+
+    @pytest.mark.parametrize("alpha, r_max, edit, why", [
+        (3.0, 20.0, None, "alpha"),
+        (1.5, 5.0, None, "r_max must be at least 20"),
+        (1.5, 20.0, lambda r, v: (r, -v), "finite and positive"),
+        (1.5, 20.0, lambda r, v: (r, np.where(r > 1, np.nan, v)), "finite and positive"),
+        (1.5, 20.0, lambda r, v: (r[::-1], v), "increase strictly"),
+        (1.5, 20.0, lambda r, v: (r + 0.5, v), "start at 0"),
+        (1.5, 30.0, None, "last radius"),
+        (1.5, 20.0, lambda r, v: (r[:5], v[:5]), "at least 6"),
+    ])
+    def test_invalid_table_names_file(self, tmp_path, alpha, r_max, edit, why):
+        radii = np.expm1(np.linspace(0.0, np.log1p(min(r_max, 20.0)), 8))
+        values = np.exp(-radii)
+        if edit is not None:
+            radii, values = edit(radii, values)
+        path = tmp_path / "bad.sqgk"
+        with open(path, "wb") as fh:
+            fh.write(b"SQGK" + struct.pack("<IddI", 1, alpha, r_max, len(radii)))
+            fh.write(np.asarray(radii, "<f8").tobytes() + np.asarray(values, "<f8").tobytes())
+        with pytest.raises(ValueError, match=f"bad.sqgk: .*{why}"):
+            load_profile(path)
 
 
 def test_riesz_bound_time_scaling_invariance(profile15):

@@ -14,6 +14,7 @@ Snapshot file layout (little-endian):
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -54,11 +55,18 @@ def write_snapshot(path, field: RealField, t: float, alpha: float) -> None:
 
 
 def _read_exact(fh, size: int, path) -> bytes:
-    """The next ``size`` bytes of a binary file; a short read names the file."""
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: file is truncated (wanted {size} bytes, found {len(data)})")
-    return data
+    """The next ``size`` bytes of a binary file; a file too short names itself
+    before anything is read, so a damaged length field allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"{path}: file is truncated (wanted {size} bytes, found {left})")
+    return fh.read(size)
+
+
+def _read_end(fh, path) -> None:
+    """A binary file ends where its header says: trailing bytes name the file."""
+    if fh.read(1):
+        raise ValueError(f"{path}: unexpected bytes after the data")
 
 
 def read_snapshot(path) -> tuple[RealField, float, float]:
@@ -72,7 +80,11 @@ def read_snapshot(path) -> tuple[RealField, float, float]:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         n, L, t, alpha = struct.unpack("<Iddd", _read_exact(fh, 28, path))
         data = np.frombuffer(_read_exact(fh, 8 * n * n, path), "<f8").reshape(n, n).copy()
-    return RealField(GridSpec(n, L), data), t, alpha
+        _read_end(fh, path)
+    try:
+        return RealField(GridSpec(n, L), data), t, alpha
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_diagnostics(path, records) -> None:
@@ -88,16 +100,17 @@ def read_diagnostics(path) -> list[DiagnosticRecord]:
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or tuple(header) != DIAG_COLUMNS:
-            raise ValueError(f"{path}: unexpected diagnostics columns {header}")
-        for row in rd:
-            try:
+        try:
+            header = next(rd, None)
+            if header is None or tuple(header) != DIAG_COLUMNS:
+                raise ValueError(f"unexpected diagnostics columns {header}")
+            for row in rd:
                 if len(row) != len(DIAG_COLUMNS):
                     raise ValueError(f"expected {len(DIAG_COLUMNS)} cells, found {len(row)}")
                 out.append(DiagnosticRecord(*[float(x) for x in row]))
-            except ValueError as e:
-                raise ValueError(f"{path}, line {rd.line_num}: {e}") from None
+        except (ValueError, csv.Error) as e:  # UnicodeDecodeError is a ValueError
+            where = f", line {rd.line_num}" if rd.line_num > 1 else ""
+            raise ValueError(f"{path}{where}: {e}") from None
     return out
 
 

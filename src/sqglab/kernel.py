@@ -8,8 +8,12 @@ by Hankel inversion,
 
 integrated panel-by-panel between Bessel zeros with Gauss-Legendre rules and
 a power substitution that removes the s^alpha cusp at the origin.  One node
-builder, ``_hankel_nodes``, serves both the profile and the whole-space
-Gaussian semigroup, and every panel comes from ``special._gauss_panels``.
+builder, ``_hankel_nodes``, lays out the panels of many radii at once, one
+row per radius, and every panel comes from ``special._gauss_panels``.
+``_hankel_sum`` takes the radii in sorted blocks of about ``_BLOCK_NODES``
+nodes, so a table of any length is a few array passes per block in bounded
+memory; the profile, its order-18 spot checks, the derivative oracle and the
+whole-space Gaussian semigroup all go through it.
 Other times follow from the exact scaling
 p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  One table serves p and its
 derivatives: a quintic interpolating spline F of log p(1, r) in v = r^2, so
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,7 +38,7 @@ from scipy import special as _sp
 from scipy.interpolate import PPoly, make_interp_spline
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz
-from .io import _read_exact
+from .io import _read_end, _read_exact
 from .special import _gauss_panels
 
 __all__ = [
@@ -94,53 +99,79 @@ def _cusp_power(alpha: float) -> int:
     return max(2, math.ceil(4.0 / alpha))
 
 
-def _hankel_nodes(S: float, r: float, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights for int_0^S f(s) J_0(s r) ds at radius r.
+def _hankel_nodes(S: float, r: np.ndarray, q: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes/weights, one row per radius of the 1-D ``r``, for
+    int_0^S f(s) J_0(s r) ds.
 
-    The first stretch [0, s_split] up to the first scaled Bessel zero (or S)
-    uses the substitution s = w^q that removes a fractional cusp of f at the
-    origin; the oscillatory remainder is split at the scaled Bessel zeros, so
-    no panel is wider than pi/r.
+    The first stretch [0, s_split] up to the first scaled Bessel zero (or S
+    when r S < pi) is 16 panels in w = s^(1/q), the substitution that
+    removes a fractional cusp of f at the origin; the oscillatory remainder
+    is split at the scaled Bessel zeros below S, so no panel is wider than
+    pi/r.  Rows with fewer zeros are padded with zero-width panels at S,
+    whose weights are exactly 0.
     """
-    if r * S < np.pi:
-        s_split, tail_edges = S, None
-    else:
-        # r S >= pi puts the first zero j_0,1/r < S
-        z = _j0_zeros(int(np.ceil(S * r / np.pi)) + 2) / r
-        tail_edges = np.concatenate([z[z < S], [S]])
-        s_split = tail_edges[0]
-    wn, ww = _gauss_panels(np.linspace(0.0, s_split ** (1.0 / q), 17), order)
-    nodes = wn**q
-    weights = ww * q * wn ** (q - 1)
-    if tail_edges is not None:
-        tn, tw = _gauss_panels(tail_edges, order)
-        nodes = np.concatenate([nodes, tn])
-        weights = np.concatenate([weights, tw])
-    return nodes, weights
+    split = r * S >= np.pi  # r S >= pi puts the first zero j_0,1/r < S
+    z = _j0_zeros(int(np.ceil(S * r.max(initial=0.0) / np.pi)) + 2)
+    edges = np.full((len(r), len(z)), S)
+    np.divide(z, r[:, None], out=edges, where=split[:, None])
+    edges[edges >= S] = S
+    n_max = int(np.count_nonzero(edges < S, axis=1).max(initial=0))
+    edges = np.concatenate([edges[:, :n_max], np.full((len(r), 1), S)], axis=1)
+    # C pow radius by radius: numpy's vectorised pow may round an ulp apart,
+    # which would make a radius's panels depend on its block
+    w_split = np.array([x ** (1.0 / q) for x in edges[:, 0].tolist()])
+    wn, ww = _gauss_panels(np.linspace(0.0, w_split, 17, axis=-1), order)
+    tn, tw = _gauss_panels(edges, order)
+    return np.concatenate([wn**q, tn], axis=1), np.concatenate([ww * q * wn ** (q - 1), tw], axis=1)
 
 
-def _damped_nodes(alpha: float, r: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights exp(-s^alpha) w of the unit-time profile integrals."""
-    s, w = _hankel_nodes(_s_cutoff(alpha, 3), r, _cusp_power(alpha), order)
-    return s, np.exp(-(s**alpha)) * w
+# Radii go through ``_hankel_nodes`` in blocks of about this many nodes, so
+# each working array stays near 256 KB however many radii are asked for;
+# blocks of 2^14 to 2^17 nodes tabulate equally fast.
+_BLOCK_NODES = 2**15
 
 
-def _radial_value(alpha: float, r: float, order: int = 12) -> float:
-    """g(r) of the unit-time kernel profile: the J0 moment alone."""
-    s, damp = _damped_nodes(alpha, r, order)
-    return float(np.sum(damp * _sp.j0(s * r) * s) / (2 * np.pi))
+def _hankel_sum(S: float, r, q: int, order: int, summand) -> np.ndarray:
+    """sum over the nodes of ``_hankel_nodes`` of summand(s, w, r) at every
+    radius of ``r`` (any shape), the leading axes of the summand kept.  The
+    radii are sorted, so that a block holds radii of similar panel counts."""
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    by_radius = np.argsort(flat)
+    rs = flat[by_radius]
+    row_length = (18 + np.ceil(S * rs / np.pi)) * order  # a bound on each radius's own nodes
+    blocks = np.split(rs, np.flatnonzero(np.diff(np.cumsum(row_length) // _BLOCK_NODES)) + 1)
+    sums = []
+    for rb in blocks:
+        s, w = _hankel_nodes(S, rb, q, order)
+        sums.append(np.sum(summand(s, w, rb[:, None]), axis=-1))
+    sums = np.concatenate(sums, axis=-1)
+    out = np.empty_like(sums)
+    out[..., by_radius] = sums
+    return out.reshape(out.shape[:-1] + r.shape)
+
+
+def _radial_value(alpha: float, r, order: int = 12):
+    """g(r) of the unit-time kernel profile at every radius of ``r``: the J0 moment alone."""
+    def summand(s, w, rr):
+        return np.exp(-(s**alpha)) * w * _sp.j0(s * rr) * s
+
+    g = _hankel_sum(_s_cutoff(alpha, 3), r, _cusp_power(alpha), order, summand) / (2 * np.pi)
+    return float(g) if g.ndim == 0 else g
 
 
 def _radial_derivatives(alpha: float, r: float, order: int = 12) -> tuple[float, float]:
     """(g', g'') of the unit-time kernel profile at radius r >= 0 by quadrature:
     the oracle the spline derivatives of ``KernelProfile.radial`` are tested against."""
-    s, damp = _damped_nodes(alpha, r, order)
-    sr = s * r
-    j1 = _sp.j1(sr)
-    dg = -np.sum(damp * j1 * s**2) / (2 * np.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j1_over = np.where(sr > 0, j1 / np.where(sr > 0, sr, 1.0), 0.5)
-    curv = -np.sum(damp * (_sp.j0(sr) - j1_over) * s**3) / (2 * np.pi)
+    def summand(s, w, rr):
+        damp = np.exp(-(s**alpha)) * w
+        sr = s * rr
+        j1 = _sp.j1(sr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            j1_over = np.where(sr > 0, j1 / np.where(sr > 0, sr, 1.0), 0.5)
+        return np.stack([damp * j1 * s**2, damp * (_sp.j0(sr) - j1_over) * s**3])
+
+    dg, curv = -_hankel_sum(_s_cutoff(alpha, 3), r, _cusp_power(alpha), order, summand) / (2 * np.pi)
     return float(dg), float(curv)
 
 
@@ -291,7 +322,6 @@ class KernelProfile:
         return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
 
 
-@functools.lru_cache
 def build_profile(
     alpha: float,
     r_max: float | None = None,
@@ -307,42 +337,52 @@ def build_profile(
     where the far-field series takes over.  It may lie in [20, 50] for
     1 <= alpha < 2, where the series serves every radius beyond it, and in
     (0, 8] at alpha = 2; anything else raises ValueError.  Calls are
-    memoised: equal arguments return the same (immutable) profile.
+    memoised on the validated values, however they are spelt: equal
+    arguments return the same (immutable) profile.
     """
+    alpha = float(alpha)
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = float(tol)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     edge = _table_edge(alpha)
-    if r_max is None:
-        r_max = edge
+    r_max = edge if r_max is None else float(r_max)
     if alpha >= 2.0:
         ok, allowed = 0.0 < r_max <= edge, f"(0, {edge:g}]"
     else:
         ok, allowed = _SERIES_FROM <= r_max <= edge, f"[{_SERIES_FROM:g}, {edge:g}]"
     if not ok:
         raise ValueError(f"r_max must lie in {allowed} at alpha = {alpha}, got {r_max}")
+    return _tabulate(alpha, r_max, tol, None if n_nodes is None else operator.index(n_nodes))
+
+
+@functools.lru_cache
+def _tabulate(alpha: float, r_max: float, tol: float, n_nodes: int | None) -> KernelProfile:
+    """The table of ``build_profile`` for validated arguments."""
     # radii expm1(u): u = 0, 0.003, 0.006, ... below log1p(r_max) (or n_nodes
     # even steps to it), closed by r_max itself
     u_top = np.log1p(r_max)
     u = np.append(np.arange(0.0, u_top, 0.003), u_top) if n_nodes is None else np.linspace(0.0, u_top, n_nodes)
     radii = np.expm1(u)
     radii[-1] = r_max
-    vals = np.array([_radial_value(alpha, r) for r in radii])
+    vals = _radial_value(alpha, radii)
     if np.any(vals <= 0):
         raise QuadratureConvergenceError("kernel profile lost positivity")
     if np.any(np.diff(vals) >= 0):
         raise QuadratureConvergenceError("kernel profile lost monotonicity")
     check_idx = np.unique(np.linspace(0, len(radii) - 1, 25).astype(int))
-    for i in check_idx:
-        ref = _radial_value(alpha, radii[i], order=18)
-        # the absolute term allows for roundoff in the cancelling lobe sums
-        if abs(vals[i] - ref) > tol * abs(ref) + 1e-16:
-            raise QuadratureConvergenceError(
-                f"Hankel quadrature at r={radii[i]:.3g} differs by "
-                f"{abs(vals[i] - ref) / abs(ref):.2e} between orders"
-            )
-    return KernelProfile(float(alpha), float(r_max), radii, vals)
+    ref = _radial_value(alpha, radii[check_idx], order=18)
+    # the absolute term allows for roundoff in the cancelling lobe sums
+    err = np.abs(vals[check_idx] - ref)
+    bad = np.flatnonzero(err > tol * np.abs(ref) + 1e-16)
+    if bad.size:
+        i = bad[0]
+        raise QuadratureConvergenceError(
+            f"Hankel quadrature at r={radii[check_idx[i]]:.3g} differs by "
+            f"{err[i] / abs(ref[i]):.2e} between orders"
+        )
+    return KernelProfile(alpha, r_max, radii, vals)
 
 
 def kernel_eval(profile: KernelProfile, t: float, x) -> np.ndarray | float:
@@ -533,12 +573,12 @@ def gaussian_semigroup_radial(alpha: float, sigma: float, t: float, r, order: in
     s_gauss = math.sqrt(2 * A) / sigma
     s_stable = (A / t) ** (1.0 / alpha) if t > 0 else np.inf
     S = min(s_gauss, s_stable)
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        s, w = _hankel_nodes(S, ri, _cusp_power(alpha), order)
+
+    def summand(s, w, rr):
         expo = -0.5 * sigma**2 * s**2 - (t * s**alpha if t > 0 else 0.0)
-        out[i] = sigma**2 * np.sum(np.exp(expo) * _sp.j0(s * ri) * s * w)
-    return out
+        return np.exp(expo) * _sp.j0(s * rr) * s * w
+
+    return sigma**2 * _hankel_sum(S, r, _cusp_power(alpha), order, summand)
 
 
 def kernel_lp_norm(
@@ -614,6 +654,7 @@ def load_profile(path) -> KernelProfile:
         alpha, r_max, count = struct.unpack("<ddI", _read_exact(fh, 20, path))
         radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
         values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
+        _read_end(fh, path)
     try:
         return KernelProfile(alpha, r_max, radii, values)
     except ValueError as e:

@@ -44,13 +44,13 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on a union of panels."""
+    """Gauss-Legendre nodes/weights on a union of panels: edges (..., P + 1)
+    give nodes and weights (..., P * order), one row of panels per leading index."""
     gx, gw = _gauss_rule(order)
-    a = edges[:-1]
-    h = np.diff(edges)
-    nodes = (a[:, None] + h[:, None] * gx[None, :]).ravel()
-    weights = (h[:, None] * gw[None, :]).ravel()
-    return nodes, weights
+    a = edges[..., :-1, None]
+    h = np.diff(edges, axis=-1)[..., None]
+    shape = edges.shape[:-1] + ((edges.shape[-1] - 1) * order,)
+    return (a + h * gx).reshape(shape), (h * gw).reshape(shape)
 
 
 def singular_time_convolution(a: float, b: float, t: float, order: int = 48) -> float:

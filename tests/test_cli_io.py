@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import struct
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import sqglab
 from sqglab.cli import main
 from sqglab.grid import GridSpec, RealField
+from sqglab.kernel import KernelProfile, load_profile, save_profile
 from sqglab.io import (
     read_diagnostics,
     read_snapshot,
@@ -272,6 +275,19 @@ class TestSnapshotIO:
                 read_snapshot(cut)
 
 
+    @pytest.mark.parametrize("n_claimed", [16, 2**31])
+    def test_sample_count_must_match_the_file(self, tmp_path, n_claimed):
+        # fewer samples than the file holds leaves bytes over; more is refused
+        # before any read, however large
+        p = tmp_path / "s.sqgf"
+        write_snapshot(p, RealField(GridSpec(18, 5.0), np.ones((18, 18))), t=0.2, alpha=1.5)
+        data = bytearray(p.read_bytes())
+        data[8:12] = struct.pack("<I", n_claimed)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="s.sqgf: (unexpected bytes|file is truncated)"):
+            read_snapshot(p)
+
+
 class TestDiagnosticsIO:
     def test_round_trip(self, tmp_path):
         recs = [
@@ -302,6 +318,101 @@ class TestDiagnosticsIO:
         p.write_text("")
         with pytest.raises(ValueError, match="empty.csv"):
             read_diagnostics(p)
+
+
+def _flip(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for i, mask in flips:
+        out[i] ^= mask
+    return bytes(out)
+
+
+def damaged(data: bytes):
+    """A truncation of ``data``, or one to three flipped bytes, drawn often in the header."""
+    pos = st.one_of(st.integers(0, min(36, len(data) - 1)), st.integers(0, len(data) - 1))
+    flips = st.lists(st.tuples(pos, st.integers(1, 255)), min_size=1, max_size=3)
+    return st.one_of(st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+                     flips.map(lambda fl: _flip(data, fl)))
+
+
+class TestDamagedFiles:
+    """A truncated or corrupted file either reads back as what it holds or
+    raises ValueError naming the file; through the CLI the latter is exit 2."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("damage")
+        cfg = d / "run.cfg"
+        text = BASE_CONFIG.format(out=d / "run").replace("n = 64", "n = 16")
+        cfg.write_text(text.replace("nonlinear = on", "nonlinear = off"))
+        assert run_cli("simulate", "--config", cfg) == 0
+        radii = np.expm1(np.linspace(0.0, np.log1p(20.0), 8))
+        save_profile(KernelProfile(1.5, 20.0, radii, np.exp(-radii)), d / "k.sqgk")
+        return d
+
+    @staticmethod
+    def outcome(path, bad: bytes, read, cli_args):
+        """(what ``read`` gave or None, CLI exit code, CLI stderr) with ``bad`` in place of the file."""
+        good = path.read_bytes()
+        path.write_bytes(bad)
+        try:
+            try:
+                got = read(path)
+            except ValueError as e:
+                assert path.name in str(e)
+                got = None
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli(*cli_args)
+        finally:
+            path.write_bytes(good)
+        return got, rc, err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_snapshot(self, run_dir, data):
+        path = sorted((run_dir / "run").glob("snapshot_*.sqgf"))[-1]
+        bad = data.draw(damaged(path.read_bytes()))
+        got, rc, err = self.outcome(path, bad, read_snapshot,
+                                    ["verify", "--run", run_dir / "run", "--checks", "max_principle"])
+        if got is None:
+            assert rc == 2 and path.name in err
+        else:
+            again = run_dir / "again.sqgf"
+            write_snapshot(again, got[0], t=got[1], alpha=got[2])
+            assert again.read_bytes() == bad
+            assert rc in (0, 1, 2) and "internal error" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kernel_profile(self, run_dir, data):
+        path = run_dir / "k.sqgk"
+        bad = data.draw(damaged(path.read_bytes()))
+        got, rc, err = self.outcome(path, bad, load_profile,
+                                    ["verify", "--run", run_dir / "run", "--kernel", path, "--checks", "max_principle"])
+        if got is None:
+            assert rc == 2 and path.name in err
+        else:
+            again = run_dir / "again.sqgk"
+            save_profile(got, again)
+            assert again.read_bytes() == bad
+            assert rc in (0, 1, 2) and "internal error" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_diagnostics(self, run_dir, data):
+        path = run_dir / "run" / "diagnostics.csv"
+        bad = data.draw(damaged(path.read_bytes()))
+        got, rc, err = self.outcome(path, bad, read_diagnostics, ["fit", "--run", run_dir / "run"])
+        if got is None:
+            assert rc == 2 and path.name in err
+        else:
+            # what was read is what the file holds: written out and read again it is unchanged
+            again = run_dir / "again.csv"
+            write_diagnostics(again, got)
+            rows = [dataclasses.astuple(r) for r in read_diagnostics(again)]
+            assert np.array_equal(rows, [dataclasses.astuple(r) for r in got], equal_nan=True)
+            assert rc in (0, 1, 2) and "internal error" not in err
 
 
 class TestSimulateCli:

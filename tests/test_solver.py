@@ -68,6 +68,21 @@ def direct_picard(theta0, t, n_iter, tg, cfg):
     return st.inverse(iterates[-1])
 
 
+def reference_flux(st, th_hat):
+    """-div(R_perp(theta) theta) step by step: mask, velocity, products,
+    forward transforms, mask, then -(i kx f1 + i ky f2)."""
+    sp = st.sp
+    if st.dealias:
+        th_hat = np.where(sp.dealias_mask, th_hat, 0.0)
+    u1, u2 = sp.inverse(-sp.riesz2 * th_hat), sp.inverse(sp.riesz1 * th_hat)
+    th = sp.inverse(th_hat)
+    f1, f2 = sp.forward(u1 * th), sp.forward(u2 * th)
+    if st.dealias:
+        f1 = np.where(sp.dealias_mask, f1, 0.0)
+        f2 = np.where(sp.dealias_mask, f2, 0.0)
+    return -(1j * sp.kx_odd * f1 + 1j * sp.ky_odd * f2)
+
+
 class TestConfigValidation:
     def test_alpha_range(self, grid128):
         for bad in (1.0, 2.0, 0.5):
@@ -115,6 +130,16 @@ class TestNonlinearTerm:
         )
         div_form = -nonlinear_term(th, 1.5, dealias=False).values
         assert np.abs(div_form - adv).max() < 1e-8 * np.abs(adv).max()
+
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_fused_multipliers_match_reference(self, n, dealias):
+        # full-band white noise puts energy in every mode the masks touch
+        g = GridSpec(n, 20.0)
+        st = solver._Stepper(g, 1.5, dealias)
+        th_hat = st.forward(np.random.default_rng(n).standard_normal(g.shape))
+        assert np.array_equal(st.nonlinear(th_hat), reference_flux(st, th_hat))
 
 
 class TestStepper:
@@ -263,6 +288,18 @@ class TestPicard:
         want = direct_picard(th0, 0.1, n_iter, tg, cfg)
         got = picard_iterate(th0, 0.1, n_iter, tg, cfg).theta.values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_node_zero_flux_taken_once(self, monkeypatch):
+        # theta^(k)(0) = theta0 for every k, so one flux serves every iteration there
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        tg = TimeGrid(0.1, a=1 / 1.5, b=0.0, m=12)
+        calls = []
+        flux = solver._Stepper.nonlinear
+        monkeypatch.setattr(solver._Stepper, "nonlinear", lambda st, th: calls.append(1) or flux(st, th))
+        res = picard_iterate(th0, 0.1, 3, tg, cfg_for(g), early_exit=0.0)
+        assert len(res.distances) == 3
+        assert len(calls) == 1 + 3 * (len(tg.nodes) + 1)
 
     def test_unconverged_scheme_run_raises(self, monkeypatch):
         # two iterates cannot show three shrinking distances, so the run must

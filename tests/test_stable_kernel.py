@@ -27,6 +27,7 @@ from sqglab.kernel import (
     riesz_kernel_bound_check,
     save_profile,
 )
+from sqglab.special import _gauss_panels
 from sqglab.verify import decay_slope_fit, expected_decay_exponent
 
 
@@ -102,6 +103,82 @@ class TestProfileBuild:
         for a in (1.2, 2.0):
             prof = build_profile(a, n_nodes=200)
             assert prof.r_max == prof.radii[-1] == kernel._table_edge(a)
+
+
+    def test_spellings_share_one_table(self, profile15):
+        assert build_profile(1.5, tol=1e-6) is profile15
+        assert build_profile(alpha=1.5) is profile15
+        assert build_profile(1.5, r_max=50.0) is profile15
+        assert build_profile(np.float64(1.5), 50, 1e-6) is profile15
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"alpha": 2.5}, "alpha"), ({"alpha": math.nan}, "alpha"), ({"alpha": 1.5, "r_max": 60.0}, "r_max"),
+        ({"alpha": 1.5, "tol": 0.0}, "tol"), ({"alpha": 1.5, "tol": math.nan}, "tol"),
+    ])
+    def test_bad_arguments_raise_on_every_call(self, kwargs, named):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=named):
+                build_profile(**kwargs)
+
+
+def reference_nodes(S, r, q, order):
+    """The node builder radius by radius: 16 panels in w = s^(1/q) up to the
+    first scaled Bessel zero (or S), then one panel per scaled zero below S."""
+    if r * S < np.pi:
+        s_split, tail = S, None
+    else:
+        z = kernel._j0_zeros(int(np.ceil(S * r / np.pi)) + 2) / r
+        tail = np.concatenate([z[z < S], [S]])
+        s_split = tail[0]
+    wn, ww = _gauss_panels(np.linspace(0.0, s_split ** (1.0 / q), 17), order)
+    nodes, weights = wn**q, ww * q * wn ** (q - 1)
+    if tail is not None:
+        tn, tw = _gauss_panels(tail, order)
+        nodes, weights = np.concatenate([nodes, tn]), np.concatenate([weights, tw])
+    return nodes, weights
+
+
+def reference_value(alpha, r, order=12):
+    s, w = reference_nodes(kernel._s_cutoff(alpha, 3), r, kernel._cusp_power(alpha), order)
+    return np.sum(np.exp(-(s**alpha)) * w * sp.j0(s * r) * s) / (2 * np.pi)
+
+
+class TestArrayTabulation:
+    """The radii go through the node builder in blocks of array passes; each
+    must get the panels and, to roundoff, the sum of a radius taken alone."""
+
+    @staticmethod
+    def straddling(alpha):
+        # r S = pi is where the Bessel-zero panels start
+        r0, edge = np.pi / kernel._s_cutoff(alpha, 3), kernel._table_edge(alpha)
+        return np.array([0.0, r0 * (1 - 1e-12), r0, r0 * (1 + 1e-12), 3.0, edge / 3, edge])
+
+    @pytest.mark.parametrize("alpha", [1.2, 2.0])
+    def test_rows_are_the_per_radius_panels(self, alpha):
+        S, q = kernel._s_cutoff(alpha, 3), kernel._cusp_power(alpha)
+        radii = self.straddling(alpha)
+        nodes, weights = kernel._hankel_nodes(S, radii, q, 12)
+        for r, s, w in zip(radii, nodes, weights):
+            ref_s, ref_w = reference_nodes(S, r, q, 12)
+            n = len(ref_s)
+            assert np.array_equal(s[:n], ref_s) and np.array_equal(w[:n], ref_w)
+            assert np.all(w[n:] == 0.0) and np.all(s[n:] == S)
+
+    @pytest.mark.parametrize("alpha, bound", [(1.2, 1e-11), (1.5, 1e-11), (1.8, 1e-11), (1.0, 1e-11), (2.0, 2e-10)])
+    def test_table_matches_per_radius_sums(self, alpha, bound):
+        # alpha = 2 loses more to the cancelling lobe sums near its edge r = 8
+        radii = build_profile(alpha).radii
+        S = kernel._s_cutoff(alpha, 3)
+        assert np.sum((18 + np.ceil(S * radii / np.pi)) * 12) > kernel._BLOCK_NODES  # more than one block
+        ref = np.array([reference_value(alpha, r) for r in radii])
+        assert np.max(np.abs(build_profile(alpha).values / ref - 1.0)) <= bound
+        extra = np.concatenate([self.straddling(alpha), radii[::97]])[::-1]  # unsorted, mixed sizes
+        ref = np.array([reference_value(alpha, r) for r in extra])
+        assert np.max(np.abs(kernel._radial_value(alpha, extra) / ref - 1.0)) <= bound
+
+    def test_one_radius_is_the_plain_sum(self):
+        for r in self.straddling(1.5):
+            assert kernel._radial_value(1.5, r, order=18) == reference_value(1.5, r, order=18)
 
 
 class TestFarField:

@@ -13,7 +13,6 @@ cannot complete, 3 internal error (any other exception, reported on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -27,6 +26,7 @@ from .io import (
     format_verdict_table,
     read_diagnostics,
     read_run_snapshots,
+    write_csv,
     write_run,
     write_verdicts,
 )
@@ -51,12 +51,8 @@ def _cmd_kernel(args) -> int:
     ts = np.geomspace(args.t_min, args.t_max, 13)
     rs = np.concatenate([[0.0], np.geomspace(1e-2, args.x_max, 40)])
     ratios = _kernel.estimate_ratios(profile, ts, rs)
-    with open(sweep_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r", "ratio"])
-        for t, row in zip(ts, ratios):
-            for r, q in zip(rs, row):
-                w.writerow([repr(float(t)), repr(float(r)), repr(float(q))])
+    write_csv(sweep_path, ("t", "r", "ratio"),
+              ([float(t), float(r), float(q)] for t, row in zip(ts, ratios) for r, q in zip(rs, row)))
     print(f"two-sided ratio over sweep: [{ratios.min():.6g}, {ratios.max():.6g}] -> {sweep_path}")
     return 0
 
@@ -85,7 +81,7 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
     records = read_diagnostics(diag_path)
     snaps = read_run_snapshots(run_dir)
     for _, _, a in snaps:
-        if abs(a - cfg.alpha) > 1e-12:
+        if not abs(a - cfg.alpha) <= 1e-12:
             raise ValueError(f"snapshot alpha {a} does not match run alpha {cfg.alpha}")
     result = SimulationResult(
         cfg.solver_config(),
@@ -123,14 +119,10 @@ def _cmd_special(args) -> int:
         print(f"quadrature={val!r} closed_form={closed!r} rel_err={abs(val-closed)/closed:.3e}")
         return 0
     if args.what == "radial-integral":
-        vs = np.linspace(0.01, 0.99, args.n_points)
-        rows = [(v, *_special.radial_singular_integral(args.alpha, args.beta_param, float(v))) for v in vs]
+        vs = np.linspace(0.01, 0.99, args.n_points).tolist()
+        rows = [(v, *_special.radial_singular_integral(args.alpha, args.beta_param, v)) for v in vs]
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["v", "integral", "ratio"])
-                for v, i, r in rows:
-                    w.writerow([repr(float(v)), repr(i), repr(r)])
+            write_csv(args.out, ("v", "integral", "ratio"), rows)
         ratios = [r for _, _, r in rows]
         print(f"ratio range over v-sweep: [{min(ratios):.6g}, {max(ratios):.6g}]")
         return 0

@@ -1,21 +1,28 @@
 """
-On-disk formats: snapshot fields, diagnostics CSV, and verdict reports.
+On-disk formats: the two binary containers and every CSV file.
 
-Snapshot file layout (little-endian):
-    bytes 0-3   magic "SQGF"
-    uint32      format version (1)
-    uint32      n (points per axis)
-    float64     box side length L
-    float64     snapshot time t
-    float64     alpha
-    n*n float64 field samples, row-major
+A binary file is little-endian: magic, ``u32`` version, a ``struct`` header,
+then ``f64`` arrays whose lengths follow from the header.  Each format is
+declared once below and goes through ``_write_binary``/``_read_binary``; a
+file must be exactly as long as its header says.
+
+    ``*.sqgf`` snapshot: "SQGF", 1, ``u32`` n, ``f64`` box length, time t and
+        alpha (finite, t >= 0); then n*n samples, row-major.
+    ``*.sqgk`` kernel profile: "SQGK", 1, ``f64`` alpha and r_max, ``u32`` count;
+        then count radii and count values (checked by ``kernel.KernelProfile``).
+
+``write_csv`` writes every CSV file, floats as ``repr``: ``diagnostics.csv``
+(``DIAG_COLUMNS``), ``verdict.csv``, the ``kernel`` verb's estimate sweep and
+``special radial-integral --out``.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,6 +34,7 @@ from .verify import VerdictRow
 
 __all__ = [
     "SNAPSHOT_MAGIC",
+    "write_csv",
     "write_snapshot",
     "read_snapshot",
     "write_diagnostics",
@@ -37,62 +45,75 @@ __all__ = [
     "format_verdict_table",
 ]
 
-SNAPSHOT_MAGIC = b"SQGF"
-SNAPSHOT_VERSION = 1
+
+# ``kind`` names the format in errors; ``arrays(header)`` gives the f64 array lengths
+BinaryFormat = namedtuple("BinaryFormat", "kind magic version header arrays")
+SNAPSHOT_FORMAT = BinaryFormat("snapshot", b"SQGF", 1, "<Iddd", lambda h: (h[0] * h[0],))
+PROFILE_FORMAT = BinaryFormat("kernel profile", b"SQGK", 1, "<ddI", lambda h: (h[2], h[2]))
+SNAPSHOT_MAGIC = SNAPSHOT_FORMAT.magic
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticRecord))
 
 
-def write_snapshot(path, field: RealField, t: float, alpha: float) -> None:
-    g = field.grid
+def _write_binary(path, fmt: BinaryFormat, header: tuple, *arrays) -> None:
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(struct.pack("<I", g.n))
-        fh.write(struct.pack("<d", g.box_length))
-        fh.write(struct.pack("<d", t))
-        fh.write(struct.pack("<d", alpha))
-        fh.write(np.asarray(field.values, "<f8").tobytes())
+        fh.write(fmt.magic + struct.pack("<I", fmt.version) + struct.pack(fmt.header, *header))
+        for a in arrays:
+            fh.write(np.asarray(a, "<f8").tobytes())
 
 
-def _read_exact(fh, size: int, path) -> bytes:
-    """The next ``size`` bytes of a binary file; a file too short names itself
-    before anything is read, so a damaged length field allocates nothing."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise ValueError(f"{path}: file is truncated (wanted {size} bytes, found {left})")
-    return fh.read(size)
-
-
-def _read_end(fh, path) -> None:
-    """A binary file ends where its header says: trailing bytes name the file."""
-    if fh.read(1):
-        raise ValueError(f"{path}: unexpected bytes after the data")
-
-
-def read_snapshot(path) -> tuple[RealField, float, float]:
-    """Returns (field, t, alpha)."""
+def _read_binary(path, fmt: BinaryFormat, build):
+    """``build(header, *arrays)`` of a ``fmt`` file.  A size past the end is refused before
+    it is read; trailing bytes and a ``ValueError`` of ``build`` name the file."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a snapshot file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version {version}")
-        n, L, t, alpha = struct.unpack("<Iddd", _read_exact(fh, 28, path))
-        data = np.frombuffer(_read_exact(fh, 8 * n * n, path), "<f8").reshape(n, n).copy()
-        _read_end(fh, path)
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            left = size - fh.tell()
+            if n > left:
+                raise ValueError(f"{path}: file is truncated (wanted {n} bytes, found {left})")
+            return fh.read(n)
+
+        magic = take(len(fmt.magic))
+        if magic != fmt.magic:
+            raise ValueError(f"{path}: not a {fmt.kind} file (magic {magic!r})")
+        (version,) = struct.unpack("<I", take(4))
+        if version != fmt.version:
+            raise ValueError(f"{path}: unsupported {fmt.kind} version {version}")
+        header = struct.unpack(fmt.header, take(struct.calcsize(fmt.header)))
+        arrays = [np.frombuffer(take(8 * k), "<f8") for k in fmt.arrays(header)]
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the data")
     try:
-        return RealField(GridSpec(n, L), data), t, alpha
+        return build(header, *arrays)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def write_diagnostics(path, records) -> None:
+def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(DIAG_COLUMNS)
-        for r in records:
-            w.writerow([repr(getattr(r, c)) for c in DIAG_COLUMNS])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_snapshot(path, field: RealField, t: float, alpha: float) -> None:
+    _write_binary(path, SNAPSHOT_FORMAT, (field.grid.n, field.grid.box_length, t, alpha), field.values)
+
+
+def _snapshot(header, data) -> tuple[RealField, float, float]:
+    n, L, t, alpha = header
+    if not (math.isfinite(t) and t >= 0 and math.isfinite(alpha)):
+        raise ValueError(f"snapshot time {t} and alpha {alpha} must be finite, with t >= 0")
+    return RealField(GridSpec(n, L), data.reshape(n, n).copy()), t, alpha
+
+
+def read_snapshot(path) -> tuple[RealField, float, float]:
+    """Returns (field, t, alpha)."""
+    return _read_binary(path, SNAPSHOT_FORMAT, _snapshot)
+
+
+def write_diagnostics(path, records) -> None:
+    write_csv(path, DIAG_COLUMNS, ([repr(getattr(r, c)) for c in DIAG_COLUMNS] for r in records))
 
 
 def read_diagnostics(path) -> list[DiagnosticRecord]:
@@ -119,9 +140,12 @@ def snapshot_filename(index: int, t: float) -> str:
 
 
 def write_run(run_dir, result: SimulationResult) -> None:
-    """Persist snapshots and the diagnostics series of one simulation."""
+    """Persist snapshots and the diagnostics series of one simulation; the
+    directory's earlier snapshots go first, so a re-run replaces them."""
     d = Path(run_dir)
     d.mkdir(parents=True, exist_ok=True)
+    for old in d.glob("snapshot_*.sqgf"):
+        old.unlink()
     write_diagnostics(d / "diagnostics.csv", result.diagnostics)
     for i, (t, field) in enumerate(result.snapshots):
         write_snapshot(d / snapshot_filename(i, t), field, t, result.config.alpha)
@@ -133,20 +157,12 @@ def read_run_snapshots(run_dir) -> list[tuple[float, RealField, float]]:
     files = sorted(d.glob("snapshot_*.sqgf"))
     if not files:
         raise FileNotFoundError(f"no snapshot files found in {d}")
-    out = []
-    for f in files:
-        field, t, alpha = read_snapshot(f)
-        out.append((t, field, alpha))
-    out.sort(key=lambda x: x[0])
-    return out
+    return sorted([(t, f, a) for f, t, a in map(read_snapshot, files)], key=lambda x: x[0])
 
 
 def write_verdicts(path, rows: list[VerdictRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "measured", "requirement", "passed"])
-        for r in rows:
-            w.writerow([r.name, float(r.measured), r.requirement, int(r.passed)])
+    write_csv(path, ("check", "measured", "requirement", "passed"),
+              ([r.name, float(r.measured), r.requirement, int(r.passed)] for r in rows))
 
 
 def format_verdict_table(rows: list[VerdictRow]) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from scipy import special as _sp
 from scipy.interpolate import PPoly, make_interp_spline
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz
-from .io import _read_end, _read_exact
+from .io import PROFILE_FORMAT, _read_binary, _write_binary
 from .special import _gauss_panels
 
 __all__ = [
@@ -61,9 +60,6 @@ __all__ = [
     "save_profile",
     "load_profile",
 ]
-
-PROFILE_MAGIC = b"SQGK"
-PROFILE_VERSION = 1
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -631,31 +627,11 @@ def kernel_lp_norm(
 
 
 def save_profile(profile: KernelProfile, path) -> None:
-    """Binary table: magic, version, alpha, r_max, count, radii, values (f64 LE)."""
-    count = len(profile.radii)
-    with open(path, "wb") as fh:
-        fh.write(PROFILE_MAGIC)
-        fh.write(struct.pack("<I", PROFILE_VERSION))
-        fh.write(struct.pack("<d", profile.alpha))
-        fh.write(struct.pack("<d", profile.r_max))
-        fh.write(struct.pack("<I", count))
-        fh.write(np.asarray(profile.radii, "<f8").tobytes())
-        fh.write(np.asarray(profile.values, "<f8").tobytes())
+    """Write a ``.sqgk`` table; the layout is in the ``io`` module docstring."""
+    _write_binary(path, PROFILE_FORMAT, (profile.alpha, profile.r_max, len(profile.radii)),
+                  profile.radii, profile.values)
 
 
 def load_profile(path) -> KernelProfile:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path)
-        if magic != PROFILE_MAGIC:
-            raise ValueError(f"{path}: not a kernel profile file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != PROFILE_VERSION:
-            raise ValueError(f"{path}: unsupported profile version {version}")
-        alpha, r_max, count = struct.unpack("<ddI", _read_exact(fh, 20, path))
-        radii = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
-        values = np.frombuffer(_read_exact(fh, 8 * count, path), "<f8")
-        _read_end(fh, path)
-    try:
-        return KernelProfile(alpha, r_max, radii, values)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return _read_binary(path, PROFILE_FORMAT,
+                        lambda header, radii, values: KernelProfile(*header[:2], radii, values))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -353,15 +353,20 @@ def _check_mass_conservation(cfg: RunConfig, result: SimulationResult) -> list[V
     return [VerdictRow("mass_conservation", worst, "<= 1e-10 relative", worst <= 1e-10)]
 
 
+def _worst_ratio(diags: Iterable[RatioDiagnostic]) -> float:
+    """Largest window sup/inf; inf as soon as a sup is not finite or an inf is <= 0."""
+    worst = 1.0
+    for d in diags:
+        if not (np.isfinite(d.sup_ratio) and d.inf_ratio > 0):
+            return math.inf
+        worst = max(worst, d.sup_ratio / d.inf_ratio)
+    return worst
+
+
 def _check_ratio(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     _positive_times(result, "ratio")
-    worst = 1.0
-    for t, th, pt in semigroup_reference(result):
-        d = ratio_diagnostics(th, pt, _window(cfg), cfg.floor_frac, time=t)
-        if not (np.isfinite(d.sup_ratio) and d.inf_ratio > 0):
-            worst = np.inf
-            break
-        worst = max(worst, d.sup_ratio / d.inf_ratio)
+    worst = _worst_ratio(ratio_diagnostics(th, pt, _window(cfg), cfg.floor_frac, time=t)
+                         for t, th, pt in semigroup_reference(result))
     return [VerdictRow("ratio_comparability", worst, f"sup/inf < {cfg.ratio_alarm}", worst < cfg.ratio_alarm)]
 
 
@@ -411,12 +416,11 @@ def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
 
 
 def _check_above_critical(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
-    diags = above_critical_local_check(
+    worst = _worst_ratio(above_critical_local_check(
         result, cfg.above_critical_p, cfg.above_critical_T, _window(cfg), cfg.floor_frac
-    )
-    worst = max(d.sup_ratio / d.inf_ratio for d in diags)
+    ))
     return [VerdictRow("above_critical_ratio", worst, f"finite, < {cfg.ratio_alarm}",
-                       np.isfinite(worst) and worst < cfg.ratio_alarm)]
+                       worst < cfg.ratio_alarm)]
 
 
 # check name -> fn(cfg, result) -> verdict rows; rows come out in this order

@@ -287,6 +287,53 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="s.sqgf: (unexpected bytes|file is truncated)"):
             read_snapshot(p)
 
+    @pytest.mark.parametrize("t, alpha", [
+        (-5.0, 1.5), (-1e-300, 1.5), (math.nan, 1.5), (math.inf, 1.5), (0.2, math.nan), (0.2, -math.inf),
+    ])
+    def test_header_time_and_alpha_are_checked(self, tmp_path, t, alpha):
+        p = tmp_path / "s.sqgf"
+        write_snapshot(p, RealField(GridSpec(16, 5.0), np.ones((16, 16))), t=t, alpha=alpha)
+        with pytest.raises(ValueError, match="s.sqgf: snapshot time .* must be finite, with t >= 0"):
+            read_snapshot(p)
+
+
+class TestByteLayout:
+    """Both binary files, packed by hand from the README layout: the writers
+    produce exactly these bytes and the readers read them back, so a writer
+    and reader that drifted together, away from files already on disk, fail."""
+
+    def test_snapshot(self, tmp_path):
+        n, L, t, alpha = 16, 7.5, 0.25, 1.5
+        values = np.arange(n * n, dtype=float).reshape(n, n) / 7.0 - 3.0
+        packed = (b"SQGF" + struct.pack("<I", 1) + struct.pack("<I", n)
+                  + struct.pack("<d", L) + struct.pack("<d", t) + struct.pack("<d", alpha)
+                  + b"".join(struct.pack("<d", v) for row in values for v in row))
+        p = tmp_path / "s.sqgf"
+        write_snapshot(p, RealField(GridSpec(n, L), values), t=t, alpha=alpha)
+        assert p.read_bytes() == packed
+        hand = tmp_path / "hand.sqgf"
+        hand.write_bytes(packed)
+        field, t2, alpha2 = read_snapshot(hand)
+        assert (field.grid, t2, alpha2) == (GridSpec(n, L), t, alpha)
+        assert np.array_equal(field.values, values)
+
+    def test_kernel_profile(self, tmp_path):
+        alpha, r_max = 1.5, 20.0
+        radii = np.linspace(0.0, r_max, 7)
+        values = np.exp(-radii)
+        packed = (b"SQGK" + struct.pack("<I", 1) + struct.pack("<d", alpha) + struct.pack("<d", r_max)
+                  + struct.pack("<I", len(radii))
+                  + b"".join(struct.pack("<d", r) for r in radii)
+                  + b"".join(struct.pack("<d", v) for v in values))
+        p = tmp_path / "k.sqgk"
+        save_profile(KernelProfile(alpha, r_max, radii, values), p)
+        assert p.read_bytes() == packed
+        hand = tmp_path / "hand.sqgk"
+        hand.write_bytes(packed)
+        back = load_profile(hand)
+        assert (back.alpha, back.r_max) == (alpha, r_max)
+        assert np.array_equal(back.radii, radii) and np.array_equal(back.values, values)
+
 
 class TestDiagnosticsIO:
     def test_round_trip(self, tmp_path):
@@ -721,6 +768,58 @@ class TestVerifyExtendedChecks:
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert run_cli("verify", "--run", out) == 1  # 0.3 time units < 1.5 decades
         assert "slope_linf" in (out / "verdict.csv").read_text()
+
+
+def small_run(tmp_path, out, snapshot_times="0.1, 0.3"):
+    """A 16^2 nonlinear run of BASE_CONFIG written into ``out``."""
+    cfgfile = tmp_path / "small.cfg"
+    text = BASE_CONFIG.format(out=out).replace("n = 64", "n = 16")
+    cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", f"snapshot_times = {snapshot_times}"))
+    assert run_cli("simulate", "--config", cfgfile) == 0
+    return sorted(out.glob("snapshot_*.sqgf"))
+
+
+def rewrite_last_snapshot(snaps, t=None, alpha=None, centre=None):
+    """Write the last snapshot again with its time, alpha or window-centre value replaced."""
+    field, t0, alpha0 = read_snapshot(snaps[-1])
+    values = field.values.copy()
+    if centre is not None:
+        values[field.grid.n // 2, field.grid.n // 2] = centre
+    write_snapshot(snaps[-1], RealField(field.grid, values),
+                   t=t0 if t is None else t, alpha=alpha0 if alpha is None else alpha)
+
+
+class TestRunDirectoryFaults:
+    def test_bad_snapshot_header_exit_two(self, tmp_path, capsys):
+        snaps = small_run(tmp_path, tmp_path / "run")
+        rewrite_last_snapshot(snaps, t=-5.0, alpha=math.nan)
+        capsys.readouterr()
+        assert run_cli("verify", "--run", tmp_path / "run", "--checks", "max_principle") == 2
+        assert snaps[-1].name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("centre", [0.0, -1e-3])
+    def test_above_critical_nonpositive_window_inf_fails(self, tmp_path, centre):
+        # the ratio rule: a window inf <= 0 makes sup/inf meaningless, so the
+        # worst ratio is inf for above_critical just as for ratio
+        run = tmp_path / "run"
+        rewrite_last_snapshot(small_run(tmp_path, run), centre=centre)
+        for check, row in (("above_critical", "above_critical_ratio"), ("ratio", "ratio_comparability")):
+            assert run_cli("verify", "--run", run, "--checks", check) == 1
+            with open(run / "verdict.csv", newline="") as fh:
+                (got,) = list(csv.DictReader(fh))
+            assert got["check"] == row
+            assert float(got["measured"]) == math.inf and got["passed"] == "0"
+
+    def test_rerun_replaces_snapshots(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        small_run(tmp_path, reused, "0.05, 0.1, 0.2, 0.3")
+        (reused / "notes.txt").write_text("kept")
+        assert len(small_run(tmp_path, reused, "0.1")) == 3
+        assert (reused / "notes.txt").read_text() == "kept"
+        assert len(small_run(tmp_path, fresh, "0.1")) == 3
+        for d in (reused, fresh):
+            assert run_cli("verify", "--run", d, "--checks", "limits") in (0, 1)
+        assert (reused / "verdict.csv").read_text() == (fresh / "verdict.csv").read_text()
 
 
 class TestFromFileInitialData:

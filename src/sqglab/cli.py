@@ -79,10 +79,16 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
     if not diag_path.exists():
         raise FileNotFoundError(f"missing diagnostics file {diag_path}")
     records = read_diagnostics(diag_path)
+    if not records or records[0].time != 0.0:
+        raise ValueError(f"{diag_path}: the first record must be at t = 0")
     snaps = read_run_snapshots(run_dir)
-    for _, _, a in snaps:
+    if snaps[0][0] != 0.0:
+        raise ValueError(f"{run_dir}: no snapshot at t = 0 (the earliest is at t = {snaps[0][0]:.6g})")
+    for t, f, a in snaps:
         if not abs(a - cfg.alpha) <= 1e-12:
-            raise ValueError(f"snapshot alpha {a} does not match run alpha {cfg.alpha}")
+            raise ValueError(f"{run_dir}: the snapshot at t = {t:.6g} has alpha {a}, config.cfg {cfg.alpha}")
+        if f.grid != cfg.grid():
+            raise ValueError(f"{run_dir}: the snapshot at t = {t:.6g} is on {f.grid}, config.cfg on {cfg.grid()}")
     result = SimulationResult(
         cfg.solver_config(),
         tuple((t, f) for t, f, _ in snaps),

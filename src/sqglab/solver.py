@@ -116,6 +116,13 @@ DECAY_QUANTITIES = tuple(f.name for f in fields(DiagnosticRecord) if f.name not 
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """
+    One run, the same for both schemes: ``snapshots`` is (0, theta0), then
+    one per positive snapshot time and t_end, ascending; ``diagnostics``
+    starts with the record at t = 0 and has one at every snapshot time
+    (IF-RK4 adds one per step).
+    """
+
     config: SolverConfig
     snapshots: tuple[tuple[float, RealField], ...]
     diagnostics: tuple[DiagnosticRecord, ...]
@@ -146,6 +153,7 @@ class _Stepper:
 
     def __init__(self, grid: GridSpec, alpha: float, dealias: bool = True, nonlinear: bool = True):
         self.grid = grid
+        self.p_crit = critical_exponent(alpha)
         self.sp = sp = _Spectra.of(grid)
         self.forward, self.inverse = sp.forward, sp.inverse
         self.dealias = dealias
@@ -156,8 +164,19 @@ class _Stepper:
         self.my = np.where(band, -1j * sp.ky_odd, 0.0)
         self._exp_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    def velocity(self, th_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.inverse(-self.sp.riesz2 * th_hat), self.inverse(self.sp.riesz1 * th_hat)
+    def diagnostics(self, th_hat: np.ndarray, t: float) -> tuple[DiagnosticRecord, RealField]:
+        """The record of ``th_hat`` at time t, whose riesz_linf sets the CFL limit, and theta."""
+        theta = RealField(self.grid, self.inverse(th_hat))
+        rec = DiagnosticRecord(
+            time=t,
+            l2=lp_norm(theta, 2),
+            lcrit=lp_norm(theta, self.p_crit),
+            linf=float(np.max(np.abs(theta.values))),
+            riesz_linf=float(max(np.max(np.abs(self.inverse(r * th_hat)))
+                                 for r in (self.sp.riesz2, self.sp.riesz1))),
+            mean=float(theta.values.mean()),
+        )
+        return rec, theta
 
     def nonlinear(self, th_hat: np.ndarray) -> np.ndarray:
         """-div(R_perp(theta) theta), dealiased flux, zero mean."""
@@ -189,10 +208,10 @@ class _Stepper:
         k4 = self.nonlinear(E * th_hat + dt * Eh * k3)
         return E * th_hat + (dt / 6.0) * (E * k1 + 2.0 * Eh * (k2 + k3) + k4)
 
-    def cfl_dt(self, umax: float, cfl_safety: float) -> float:
-        if umax <= 0:
+    def cfl_dt(self, rec: DiagnosticRecord, cfl_safety: float) -> float:
+        if rec.riesz_linf <= 0:
             return np.inf
-        return cfl_safety * self.grid.dx / umax
+        return cfl_safety * self.grid.dx / rec.riesz_linf
 
 
 def nonlinear_term(theta: RealField, alpha: float, dealias: bool = True) -> RealField:
@@ -215,9 +234,7 @@ def step_ifrk4(state: SimulationState, config: SolverConfig, dt: float | None = 
     h = config.dt if dt is None else dt
     th_hat = st.forward(state.theta.values)
     if config.nonlinear:
-        u1, u2 = st.velocity(th_hat)
-        umax = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
-        allowed = st.cfl_dt(umax, config.cfl_safety)
+        allowed = st.cfl_dt(st.diagnostics(th_hat, state.t)[0], config.cfl_safety)
         if h > allowed * (1 + 1e-9):
             raise CflViolationError(allowed)
     new_hat = st.step(th_hat, h)
@@ -227,52 +244,42 @@ def step_ifrk4(state: SimulationState, config: SolverConfig, dt: float | None = 
     return SimulationState(state.t + h, RealField(config.grid, values), state.step_count + 1)
 
 
-def _diagnostics(st: _Stepper, th_hat: np.ndarray, t: float, alpha: float):
-    theta = st.inverse(th_hat)
-    u1, u2 = st.velocity(th_hat)
-    f = RealField(st.grid, theta)
-    rec = DiagnosticRecord(
-        time=t,
-        l2=lp_norm(f, 2),
-        lcrit=lp_norm(f, critical_exponent(alpha)),
-        linf=float(np.max(np.abs(theta))),
-        riesz_linf=float(max(np.max(np.abs(u1)), np.max(np.abs(u2)))),
-        mean=float(theta.mean()),
-    )
-    umax = rec.riesz_linf
-    return rec, umax
-
-
 def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
     """
-    Integrate to t_end with adaptive dt (capped by config.dt and the CFL
-    limit), landing exactly on every requested snapshot time.  Per-step
-    diagnostics cover the norms tracked by the decay estimates.
+    Integrate to t_end, landing exactly on every snapshot time: IF-RK4 in
+    adaptive steps (capped by config.dt and the CFL limit), one record each;
+    Picard in one Duhamel iteration per snapshot time.
     """
     if theta0.grid != config.grid:
         raise ValueError("initial data grid does not match configuration")
     if not np.all(np.isfinite(theta0.values)):
         raise ValueError("initial data contains non-finite values")
-    if config.scheme == "picard":
-        return _run_picard(config, theta0)
     st = _Stepper(config.grid, config.alpha, config.dealias, config.nonlinear)
     th_hat = st.forward(theta0.values)
     t = 0.0
-    snaps: list[tuple[float, RealField]] = [(0.0, theta0)]
-    rec, umax = _diagnostics(st, th_hat, 0.0, config.alpha)
+    rec, theta = st.diagnostics(th_hat, t)
+    snaps: list[tuple[float, RealField]] = [(t, theta0)]
     records = [rec]
     for target in _snapshot_targets(config):
-        while t < target - 1e-13:
+        if config.scheme == "picard":
+            res = picard_iterate(theta0, target, 8, TimeGrid(target, a=1.0 / config.alpha, b=0.0, m=48), config)
+            if not res.converged:
+                dists = ", ".join(f"{d:.3e}" for d in res.distances)
+                raise PicardDivergenceError(f"Picard snapshot at t={target:.6g} did not converge: distances {dists}")
+            t, theta = target, res.theta
+            records.append(st.diagnostics(st.forward(theta.values), t)[0])
+        while t < target - 1e-13:  # IF-RK4; a Picard snapshot has landed
             dt = min(config.dt, target - t)
             if config.nonlinear:
-                dt = min(dt, st.cfl_dt(umax, config.cfl_safety))
+                dt = min(dt, st.cfl_dt(rec, config.cfl_safety))
+            theta = None  # the last record's theta is not needed during the step
             th_hat = st.step(th_hat, dt)
             t += dt
-            rec, umax = _diagnostics(st, th_hat, t, config.alpha)
+            rec, theta = st.diagnostics(th_hat, t)
             records.append(rec)
             if not np.isfinite(rec.linf):
                 raise BlowUpError(f"non-finite field at t={t:.6g}")
-        snaps.append((t, RealField(config.grid, st.inverse(th_hat))))
+        snaps.append((t, theta))
     return SimulationResult(config, tuple(snaps), tuple(records))
 
 
@@ -281,21 +288,6 @@ def _snapshot_targets(config: SolverConfig) -> list[float]:
     if config.t_end <= 0:
         return []
     return sorted(set([s for s in config.snapshot_times if s > 0] + [config.t_end]))
-
-
-def _run_picard(config: SolverConfig, theta0: RealField) -> SimulationResult:
-    st = _Stepper(config.grid, config.alpha, config.dealias, config.nonlinear)
-    snaps: list[tuple[float, RealField]] = [(0.0, theta0)]
-    records = [_diagnostics(st, st.forward(theta0.values), 0.0, config.alpha)[0]]
-    for ts in _snapshot_targets(config):
-        tg = TimeGrid(ts, a=1.0 / config.alpha, b=0.0, m=48)
-        res = picard_iterate(theta0, ts, 8, tg, config)
-        if not res.converged:
-            dists = ", ".join(f"{d:.3e}" for d in res.distances)
-            raise PicardDivergenceError(f"Picard snapshot at t={ts:.6g} did not converge: distances {dists}")
-        snaps.append((ts, res.theta))
-        records.append(_diagnostics(st, st.forward(res.theta.values), ts, config.alpha)[0])
-    return SimulationResult(config, tuple(snaps), tuple(records))
 
 
 def _phi0(x: np.ndarray) -> np.ndarray:

@@ -416,6 +416,7 @@ def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
 
 
 def _check_above_critical(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
+    _positive_times(result, "above_critical")
     worst = _worst_ratio(above_critical_local_check(
         result, cfg.above_critical_p, cfg.above_critical_T, _window(cfg), cfg.floor_frac
     ))

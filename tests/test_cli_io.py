@@ -584,7 +584,7 @@ class TestVerifyCli:
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert run_cli("verify", "--run", out) == 1
 
-    @pytest.mark.parametrize("check", ["limits", "ratio", "gradients"])
+    @pytest.mark.parametrize("check", ["limits", "ratio", "gradients", "above_critical"])
     def test_limits_without_positive_snapshots(self, tmp_path, capsys, check):
         out = tmp_path / "t0"
         cfgfile = tmp_path / "t0.cfg"
@@ -809,6 +809,40 @@ class TestRunDirectoryFaults:
                 (got,) = list(csv.DictReader(fh))
             assert got["check"] == row
             assert float(got["measured"]) == math.inf and got["passed"] == "0"
+
+    @pytest.mark.parametrize("grid, alpha, named", [
+        (GridSpec(32, 20.0), 1.5, f"is on {GridSpec(32, 20.0)}, config.cfg on {GridSpec(16, 20.0)}"),
+        (GridSpec(16, 10.0), 1.5, f"is on {GridSpec(16, 10.0)}, config.cfg on {GridSpec(16, 20.0)}"),
+        (GridSpec(16, 20.0), 1.6, "has alpha 1.6, config.cfg 1.5"),
+    ])
+    @pytest.mark.parametrize("check", ["gradients", "ratio"])
+    def test_snapshot_off_the_config_exit_two(self, tmp_path, capsys, grid, alpha, named, check):
+        run = tmp_path / "run"
+        snaps = small_run(tmp_path, run)
+        t = read_snapshot(snaps[-1])[1]
+        write_snapshot(snaps[-1], RealField(grid, np.full(grid.shape, 0.1)), t=t, alpha=alpha)
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", check) == 2
+        assert f"{run}: the snapshot at t = 0.3 {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["ratio", "max_principle", "gradients"])
+    def test_missing_t0_snapshot_exit_two(self, tmp_path, capsys, check):
+        run = tmp_path / "run"
+        small_run(tmp_path, run)[0].unlink()
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", check) == 2
+        err = capsys.readouterr().err
+        assert str(run) in err and "no snapshot at t = 0" in err
+
+    @pytest.mark.parametrize("check", ["mass_conservation", "max_principle"])
+    def test_header_only_diagnostics_exit_two(self, tmp_path, capsys, check):
+        run = tmp_path / "run"
+        small_run(tmp_path, run)
+        diag = run / "diagnostics.csv"
+        diag.write_text(diag.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", check) == 2
+        assert "diagnostics.csv: the first record must be at t = 0" in capsys.readouterr().err
 
     def test_rerun_replaces_snapshots(self, tmp_path):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"

@@ -213,6 +213,19 @@ class TestRunSimulation:
         want = max(np.abs(u1.values).max(), np.abs(u2.values).max())
         assert r0.riesz_linf == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["ifrk4", "picard"])
+    def test_one_contract_for_both_schemes(self, scheme):
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        res = run_simulation(cfg_for(g, scheme=scheme, t_end=0.3, snapshot_times=(0.1, 0.2)), th0)
+        assert res.snapshots[0][0] == 0.0 and res.snapshots[0][1] is th0
+        records = {r.time: r for r in res.diagnostics}
+        assert len(res.snapshots) == 4 and res.diagnostics[0].time == 0.0
+        for t, f in res.snapshots:
+            # Picard's record is of the snapshot after one FFT round trip
+            assert records[t].linf == pytest.approx(np.abs(f.values).max(), rel=1e-12, abs=0)
+            assert records[t].mean == pytest.approx(f.values.mean(), rel=1e-12, abs=0)
+
     def test_rejects_non_finite_data(self, grid128):
         bad = np.zeros(grid128.shape)
         bad[0, 0] = np.inf

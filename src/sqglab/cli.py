@@ -13,6 +13,8 @@ cannot complete, 3 internal error (any other exception, reported on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -30,9 +32,9 @@ from .io import (
     write_run,
     write_verdicts,
 )
-from .runconfig import ConfigError, RunConfig, _names, parse_config_file, serialize_config
+from .runconfig import ConfigError, RunConfig, _names, _validate, parse_config_file, serialize_config
 from .solver import (DECAY_QUANTITIES, BlowUpError, CflViolationError, PicardDivergenceError,
-                     SimulationResult, run_simulation)
+                     SimulationResult, _snapshot_targets, run_simulation)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -84,7 +86,17 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
     snaps = read_run_snapshots(run_dir)
     if snaps[0][0] != 0.0:
         raise ValueError(f"{run_dir}: no snapshot at t = 0 (the earliest is at t = {snaps[0][0]:.6g})")
+    # t = 0 and each solver target, within the tolerance of SimulationResult.snapshot_at;
+    # inf pads the shorter list (so the tolerance scales with the finite time of a pair)
+    wanted = [0.0] + _snapshot_targets(cfg.solver_config())
+    for t, want in itertools.zip_longest([t for t, _, _ in snaps], wanted, fillvalue=math.inf):
+        if not abs(t - want) <= 1e-9 * max(1.0, min(t, want)):
+            wrong = f"no snapshot at t = {want:.6g}" if t > want else f"an extra snapshot at t = {t:.6g}"
+            raise ValueError(f"{run_dir}: {wrong}; config.cfg asks for t = 0, its snapshot_times and t_end")
+    recorded = {r.time for r in records}
     for t, f, a in snaps:
+        if t not in recorded:
+            raise ValueError(f"{diag_path}: no record at the snapshot time t = {t!r}")
         if not abs(a - cfg.alpha) <= 1e-12:
             raise ValueError(f"{run_dir}: the snapshot at t = {t:.6g} has alpha {a}, config.cfg {cfg.alpha}")
         if f.grid != cfg.grid():
@@ -100,14 +112,16 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg, result = _load_run(run_dir)
-    checks = _names(args.checks) if args.checks is not None else cfg.checks
+    if args.checks is not None:
+        # the selection is held to the rules of verification.checks, as in config.cfg
+        cfg = _validate(dataclasses.replace(cfg, checks=_names(args.checks)))
     if args.kernel:
         prof = _kernel.load_profile(args.kernel)
         if abs(prof.alpha - cfg.alpha) > 1e-12:
             raise ValueError(
                 f"kernel profile alpha {prof.alpha} does not match run alpha {cfg.alpha}"
             )
-    rows = _verify.run_checks(cfg, result, checks)
+    rows = _verify.run_checks(cfg, result, cfg.checks)
     write_verdicts(run_dir / "verdict.csv", rows)
     table = format_verdict_table(rows)
     (run_dir / "summary.txt").write_text(table + "\n")

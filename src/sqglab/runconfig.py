@@ -14,6 +14,7 @@ read and ignored.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -127,6 +128,22 @@ _BUILDERS = {
 }
 
 
+# [verification] field -> (its range, as errors word it; test of a finite value and the config)
+_RANGES = (
+    ("window_fraction", "in (0, 0.5]", lambda v, c: 0 < v <= 0.5),
+    ("floor_frac", "in (0, 1]", lambda v, c: 0 < v <= 1),
+    ("dev_threshold", "> 0", lambda v, c: v > 0),
+    ("slope_tolerance", "> 0", lambda v, c: v > 0),
+    ("above_critical_T", "> 0", lambda v, c: v > 0),
+    ("ratio_alarm", "> 1", lambda v, c: v > 1),
+    ("slope_t_lo", ">= 0", lambda v, c: v >= 0),
+    ("slope_t_hi", "0 (open above) or > slope_t_lo", lambda v, c: v == 0 or v > c.slope_t_lo),
+    # the default 6 lies below 2/(alpha-1) for alpha <= 4/3, so it binds only where the check runs
+    ("above_critical_p", "> the critical power 2/(alpha-1) when above_critical is checked",
+     lambda v, c: v > critical_exponent(c.alpha) or "above_critical" not in c.checks),
+)
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
     # SolverConfig and GridSpec run their own validations; alpha must be in
     # (1, 2) before the critical exponent below can be formed
@@ -145,6 +162,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         unknown = [v for v in getattr(cfg, name) if v not in known]
         if unknown:
             raise ConfigError(f"{_key(name)}: unknown {unknown[0]!r}; known: {', '.join(known)}")
+    for name, rule, ok in _RANGES:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and ok(value, cfg)):
+            raise ConfigError(f"{_key(name)}: {value!r} must be finite and {rule}")
     return cfg
 
 

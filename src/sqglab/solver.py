@@ -268,7 +268,9 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
                 raise PicardDivergenceError(f"Picard snapshot at t={target:.6g} did not converge: distances {dists}")
             t, theta = target, res.theta
             records.append(st.diagnostics(st.forward(theta.values), t)[0])
-        while t < target - 1e-13:  # IF-RK4; a Picard snapshot has landed
+        # IF-RK4 (a Picard snapshot has landed); the slack shrinks with a target
+        # below 1, so that one below 1e-13 is stepped to as well
+        while t < target - 1e-13 * min(1.0, target):
             dt = min(config.dt, target - t)
             if config.nonlinear:
                 dt = min(dt, st.cfl_dt(rec, config.cfl_safety))

@@ -6,8 +6,10 @@ Every diagnostic is a pure function of the snapshot data.  Thresholds are
 harness configuration, not claims: the underlying statements assert existence
 of constants and vanishing limits, so the checks report window suprema,
 monotone trends against a configured threshold, and least-squares exponents
-with their standard errors.  ``CHECKS`` maps each check name a run
-configuration may select to the function that makes its verdict rows.
+with their standard errors.  The ratio, limits, gradients and above_critical
+comparisons with a semigroup reference share one window rule
+(``_window_quotient``).  ``CHECKS`` maps each check name a run configuration
+may select to the function that makes its verdict rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_semigroup, lp_norm
+from .grid import MultiIndex, RealField, apply_derivative, apply_semigroup, lp_norm
 from .solver import DiagnosticRecord, SimulationResult, critical_exponent
 
 if TYPE_CHECKING:
@@ -101,11 +103,18 @@ class VerdictRow:
     passed: bool
 
 
-def _window_mask(grid: GridSpec, window_radius: float, denom: np.ndarray, floor_frac: float):
-    X, Y = grid.centered_coordinates()
-    inside = np.hypot(X, Y) <= window_radius
-    floor = floor_frac * denom[inside].max()
-    return inside & (denom >= floor), floor
+def _window_quotient(num: RealField, den: RealField, window_radius: float, floor_frac: float):
+    """(num/den, |x|, floor) at the window points |x| <= window_radius where den >= floor
+    = floor_frac * (window max of den); fields on two grids or an empty window raise."""
+    if num.grid != den.grid:
+        raise ValueError("fields live on different grids")
+    r = np.hypot(*num.grid.centered_coordinates())
+    inside = r <= window_radius
+    floor = floor_frac * np.max(den.values, where=inside, initial=-np.inf)
+    keep = inside & (den.values >= floor)
+    if not np.any(keep):
+        raise ValueError("window is empty after masking")
+    return num.values[keep] / den.values[keep], r[keep], floor
 
 
 def ratio_diagnostics(
@@ -116,12 +125,7 @@ def ratio_diagnostics(
     time: float = math.nan,
 ) -> RatioDiagnostic:
     """Window sup/inf of theta / P_t(theta0) with a relative denominator floor."""
-    if theta_t.grid != p_t_theta0.grid:
-        raise ValueError("fields live on different grids")
-    mask, floor = _window_mask(theta_t.grid, window_radius, p_t_theta0.values, floor_frac)
-    if not np.any(mask):
-        raise ValueError("window is empty after masking")
-    ratio = theta_t.values[mask] / p_t_theta0.values[mask]
+    ratio, _, floor = _window_quotient(theta_t, p_t_theta0, window_radius, floor_frac)
     return RatioDiagnostic(
         time=time,
         window_radius=window_radius,
@@ -129,7 +133,7 @@ def ratio_diagnostics(
         sup_ratio=float(ratio.max()),
         inf_ratio=float(ratio.min()),
         sup_abs_dev=float(np.max(np.abs(ratio - 1.0))),
-        n_points=int(mask.sum()),
+        n_points=ratio.size,
     )
 
 
@@ -161,38 +165,31 @@ def limit_scan(
     scans the series is sup|theta/P_t theta0 - 1| per snapshot and the extreme
     (earliest or latest) entry must be the series minimum and below the
     threshold.  The spatial scan aggregates per-annulus suprema over all
-    snapshot times and requires the outermost annulus to be the minimum.
+    snapshot times and requires the outermost annulus to be the minimum; an
+    annulus holds window points only, so one beyond ``window_radius`` is empty.
     """
     pairs = semigroup_reference(result, t_min, t_max)
     if not pairs:
         raise ValueError("run contains no positive-time snapshots in the scan range")
     if mode in (T_TO_0, T_TO_INF):
-        ts, devs = [], []
-        for t, th, pt in pairs:
-            d = ratio_diagnostics(th, pt, window_radius, floor_frac, time=t)
-            ts.append(t)
-            devs.append(d.sup_abs_dev)
-        return ScanReport(mode, tuple(ts), tuple(devs), threshold)
+        devs = [ratio_diagnostics(th, pt, window_radius, floor_frac).sup_abs_dev for _, th, pt in pairs]
+        return ScanReport(mode, tuple(t for t, _, _ in pairs), tuple(devs), threshold)
     if mode != X_TO_INF:
         raise ValueError(f"unknown scan mode {mode!r}")
-    grid = result.config.grid
     if annuli is None:
         # the core holds theta ~ P_t theta0 ~ theta0 and says nothing about
         # |x| -> inf, so the default scan starts outside it, as criterion 7
         # does (from r = 3 on a window of 10)
         annuli = np.linspace(0.3 * window_radius, window_radius, 6)
     annuli = np.asarray(annuli, dtype=float)
-    X, Y = grid.centered_coordinates()
-    R = np.hypot(X, Y)
+    if np.any(np.diff(annuli) < 0):
+        raise ValueError("annulus radii must ascend")
     sups = np.full(len(annuli) - 1, -np.inf)
-    for t, th, pt in pairs:
-        _, floor = _window_mask(grid, window_radius, pt.values, floor_frac)
-        ok = pt.values >= floor
-        for i in range(len(annuli) - 1):
-            ring = ok & (R >= annuli[i]) & (R < annuli[i + 1])
-            if np.any(ring):
-                dev = np.max(np.abs(th.values[ring] / pt.values[ring] - 1.0))
-                sups[i] = max(sups[i], dev)
+    for _, th, pt in pairs:
+        q, r, _ = _window_quotient(th, pt, window_radius, floor_frac)
+        ring = np.searchsorted(annuli, r, side="right") - 1
+        ok = (ring >= 0) & (ring < len(sups))
+        np.maximum.at(sups, ring[ok], np.abs(q[ok] - 1.0))
     mids = 0.5 * (annuli[:-1] + annuli[1:])
     keep = np.isfinite(sups)
     if keep.sum() < 2:
@@ -212,12 +209,9 @@ def gradient_bound_diag(
     """sup over the window of t^(|kappa|/alpha) |grad^kappa theta| / P_t|theta0|."""
     if kappa.order > 2:
         raise ValueError("the gradient diagnostic covers |kappa| <= 2")
-    mask, _ = _window_mask(theta_t.grid, window_radius, p_t_abs_theta0.values, floor_frac)
-    if not np.any(mask):
-        raise ValueError("window is empty after masking")
     g = theta_t if kappa.order == 0 else apply_derivative(theta_t, kappa)
-    num = np.abs(g.values[mask]) * t ** (kappa.order / alpha)
-    return float(np.max(num / p_t_abs_theta0.values[mask]))
+    num = RealField(g.grid, np.abs(g.values) * t ** (kappa.order / alpha))
+    return float(np.max(_window_quotient(num, p_t_abs_theta0, window_radius, floor_frac)[0]))
 
 
 def decay_slope_fit(

@@ -25,7 +25,7 @@ from sqglab.io import (
     write_snapshot,
 )
 from sqglab.runconfig import ConfigError, RunConfig, parse_config, serialize_config
-from sqglab.solver import DECAY_QUANTITIES, DiagnosticRecord
+from sqglab.solver import DECAY_QUANTITIES, DiagnosticRecord, critical_exponent
 from sqglab.verify import CHECKS
 
 
@@ -151,6 +151,24 @@ class TestRunConfig:
         text = BASE_CONFIG.format(out="x").replace("dealias = on", f"dealias = {word}")
         assert parse_config(text).dealias is value
 
+    @pytest.mark.parametrize("key, value, checks", [
+        ("window_fraction", "nan", ""), ("window_fraction", "-1", ""), ("window_fraction", "0.6", ""),
+        ("floor_frac", "-1", ""), ("floor_frac", "0", ""), ("floor_frac", "1.5", ""),
+        ("dev_threshold", "0", ""), ("dev_threshold", "inf", ""),
+        ("ratio_alarm", "nan", ""), ("ratio_alarm", "1.0", ""),
+        ("slope_tolerance", "-1", ""), ("slope_t_lo", "-1", ""), ("slope_t_lo", "nan", ""),
+        ("slope_t_hi", "-0.5", ""), ("above_critical_T", "0", ""),
+        ("above_critical_p", "nan", ""), ("above_critical_p", "3.0", "above_critical"),
+    ])
+    def test_bad_verification_value_named(self, tmp_path, capsys, key, value, checks):
+        text = BASE_CONFIG.format(out=tmp_path / "o") + f"{key} = {value}\n"
+        if checks:
+            text = text.replace("checks = max_principle, mass_conservation, ratio, limits", f"checks = {checks}")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert f"error: verification.{key}: {float(value)!r} must be finite and" in capsys.readouterr().err
+
     def test_power_tail_alpha_one_names_alpha(self):
         # the solver's alpha range is checked before the critical exponent
         # 2/(alpha-1) of the power-tail guard is formed
@@ -175,6 +193,7 @@ def _valid_configs(draw):
     if kind == "power_tail":
         gamma = alpha - 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
     path = draw(_PATHS.filter(bool) if kind == "from_file" else _PATHS)
+    t_lo = draw(st.floats(min_value=0.0, max_value=1e6))
     return RunConfig(
         grid_n=2 * draw(st.integers(min_value=8, max_value=10**6)),
         box_length=draw(_POSITIVE),
@@ -198,16 +217,16 @@ def _valid_configs(draw):
         id_path=path,
         output_dir=draw(_PATHS),
         checks=tuple(draw(st.lists(st.sampled_from(list(CHECKS)), max_size=8))),
-        window_fraction=draw(_FLOATS),
-        floor_frac=draw(_FLOATS),
-        dev_threshold=draw(_FLOATS),
-        ratio_alarm=draw(_FLOATS),
+        window_fraction=draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)),
+        floor_frac=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        dev_threshold=draw(_POSITIVE),
+        ratio_alarm=draw(st.floats(min_value=1.0, max_value=1e9, exclude_min=True)),
         slope_quantities=tuple(draw(st.lists(st.sampled_from(DECAY_QUANTITIES), max_size=3))),
-        slope_t_lo=draw(_FLOATS),
-        slope_t_hi=draw(_FLOATS),
-        slope_tolerance=draw(_FLOATS),
-        above_critical_p=draw(_FLOATS),
-        above_critical_T=draw(_FLOATS),
+        slope_t_lo=t_lo,
+        slope_t_hi=draw(st.one_of(st.just(0.0), st.floats(min_value=t_lo, max_value=2e6, exclude_min=True))),
+        slope_tolerance=draw(_POSITIVE),
+        above_critical_p=critical_exponent(alpha) * draw(st.floats(min_value=1.001, max_value=10.0)),
+        above_critical_T=draw(_POSITIVE),
     )
 
 
@@ -843,6 +862,51 @@ class TestRunDirectoryFaults:
         capsys.readouterr()
         assert run_cli("verify", "--run", run, "--checks", check) == 2
         assert "diagnostics.csv: the first record must be at t = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep, named", [
+        (["0.1"], "no snapshot at t = 0.2;"),
+        (["0.1", "0.2", "0.25", "0.3"], "an extra snapshot at t = 0.25;"),
+    ])
+    def test_snapshot_times_are_the_config_times(self, tmp_path, capsys, keep, named):
+        run = tmp_path / "run"
+        snaps = small_run(tmp_path, run, "0.1, 0.2")
+        field = read_snapshot(snaps[-1])[0]
+        for f in snaps[1:]:
+            f.unlink()
+        for i, t in enumerate(keep, start=1):
+            write_snapshot(run / f"snapshot_{i:04d}.sqgf", field, t=float(t), alpha=1.5)
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", "ratio,max_principle") == 2
+        assert f"{run}: {named}" in capsys.readouterr().err
+
+    def test_every_snapshot_time_has_a_record(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        small_run(tmp_path, run, "0.1, 0.2")
+        diag = run / "diagnostics.csv"
+        diag.write_text("\n".join(diag.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", "max_principle,mass_conservation") == 2
+        assert "diagnostics.csv: no record at the snapshot time t = 0.1" in capsys.readouterr().err
+
+    def test_above_critical_power_named_when_selected(self, tmp_path, capsys):
+        # config.cfg does not select above_critical, so its p below 2/(alpha-1) = 4 loads
+        run = tmp_path / "run"
+        small_run(tmp_path, run)
+        cfg = run / "config.cfg"
+        cfg.write_text(cfg.read_text().replace("above_critical_p = 6.0", "above_critical_p = 3.0"))
+        assert run_cli("verify", "--run", run, "--checks", "ratio") == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", "ratio,above_critical") == 2
+        assert "verification.above_critical_p: 3.0 must be finite and" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["ifrk4", "picard"])
+    def test_what_simulate_writes_verify_accepts(self, tmp_path, scheme):
+        out = tmp_path / "run"
+        cfgfile = tmp_path / "run.cfg"
+        text = BASE_CONFIG.format(out=out).replace("n = 64", "n = 16").replace("scheme = ifrk4", f"scheme = {scheme}")
+        cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times = 1e-14, 0.1, 0.2"))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        assert run_cli("verify", "--run", out, "--checks", "max_principle,mass_conservation,ratio") != 2
 
     def test_rerun_replaces_snapshots(self, tmp_path):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"

@@ -355,6 +355,16 @@ class TestPicard:
         assert np.allclose(times["picard"], [0.0, 0.1, 0.3], rtol=0, atol=1e-12)
         assert np.allclose(times["ifrk4"], times["picard"], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["ifrk4", "picard"])
+    def test_target_below_the_landing_slack_is_reached(self, scheme):
+        # IF-RK4 once stopped 1e-13 short of each target, so t_end = 1e-14
+        # gave a second snapshot at t = 0
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        res = run_simulation(cfg_for(g, scheme=scheme, t_end=1e-14), th0)
+        assert [t for t, _ in res.snapshots] == [0.0, 1e-14]
+        assert [r.time for r in res.diagnostics] == [0.0, 1e-14]
+
 
 class TestDecayEnvelope:
     def test_scaled_norms_no_late_growth(self):

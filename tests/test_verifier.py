@@ -137,6 +137,36 @@ class TestLimitScan:
         with pytest.raises(ValueError):
             limit_scan(linear_run, "SIDEWAYS", 5.0)
 
+    @pytest.mark.parametrize("floor_frac", [1e-3, 1e-6])
+    @pytest.mark.parametrize("annuli", [None, np.linspace(0.0, 5.0, 11), [0.5, 1.0, 1.0, 2.5, 5.0]])
+    def test_annulus_binning_matches_ring_loop(self, compact_run, annuli, floor_frac):
+        default = np.linspace(0.3 * 5.0, 5.0, 6)
+        mids, sups = ring_loop_scan(compact_run, 5.0, default if annuli is None else annuli, floor_frac)
+        scan = limit_scan(compact_run, X_TO_INF, window_radius=5.0, floor_frac=floor_frac, annuli=annuli)
+        assert np.array_equal(scan.coordinates, mids)
+        assert np.array_equal(scan.values, sups)
+
+    def test_descending_annuli_rejected(self, compact_run):
+        with pytest.raises(ValueError, match="ascend"):
+            limit_scan(compact_run, X_TO_INF, window_radius=5.0, annuli=[5.0, 3.0, 1.0])
+
+
+def ring_loop_scan(result, window_radius, annuli, floor_frac):
+    """The spatial scan as one mask per annulus and snapshot: the reference
+    for limit_scan's binning of window points by radius."""
+    annuli = np.asarray(annuli, dtype=float)
+    X, Y = result.config.grid.centered_coordinates()
+    R = np.hypot(X, Y)
+    sups = np.full(len(annuli) - 1, -np.inf)
+    for _, th, pt in semigroup_reference(result):
+        ok = pt.values >= floor_frac * pt.values[R <= window_radius].max()
+        for i in range(len(annuli) - 1):
+            ring = ok & (R >= annuli[i]) & (R < annuli[i + 1])
+            if np.any(ring):
+                sups[i] = max(sups[i], np.max(np.abs(th.values[ring] / pt.values[ring] - 1.0)))
+    keep = np.isfinite(sups)
+    return 0.5 * (annuli[:-1] + annuli[1:])[keep], sups[keep]
+
 
 class TestGradientBound:
     def test_linear_run_reduces_to_kernel_property(self, linear_run):
@@ -180,6 +210,14 @@ class TestGradientBound:
         t, th, pt = semigroup_reference(linear_run)[0]
         with pytest.raises(ValueError):
             gradient_bound_diag(th, pt, MultiIndex(2, 1), t, 1.5, 5.0)
+
+    @pytest.mark.parametrize("other", [GridSpec(16, 20.0), GridSpec(32, 10.0)])
+    def test_grid_mismatch_rejected(self, other):
+        # a coarser reference once ended in an IndexError, another box length in a silent 1.0
+        g = GridSpec(32, 20.0)
+        th = gaussian_bump(g, 0.5, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            gradient_bound_diag(th, RealField(other, np.ones(other.shape)), MultiIndex(1, 0), 1.0, 1.5, 5.0)
 
 
 class TestSlopeFit:

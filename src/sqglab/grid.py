@@ -8,6 +8,11 @@ and ky = 2*pi/L * {0, ..., n/2}; the negative-ky half is the complex conjugate.
 Odd-order multipliers zero the Nyquist entries (kx = -n/2, ky = n/2) so that
 derivatives of real fields stay real.  ``_Spectra`` is the only place that
 knows this layout.  Fields are immutable; every operation returns a new field.
+
+Of the ``_Spectra`` transforms, ``band_inverse`` overwrites the coefficient
+array it is given (pass a temporary or a copy, never a field's frozen
+coefficients); ``forward``, ``inverse`` and ``band_forward`` leave their
+argument as it is.
 """
 
 from __future__ import annotations
@@ -71,6 +76,8 @@ class _Spectra:
             self.riesz2 = np.where(self.kmod > 0, 1j * self.ky_odd / self.kmod, 0.0)
         cut = (n // 3) * (2 * np.pi / grid.box_length)
         self.dealias_mask = (np.abs(self.kx) <= cut + 1e-12) & (np.abs(self.ky) <= cut + 1e-12)
+        # leading ky columns that hold the 2/3-rule band, and all of them
+        self.band_cols, self.half_cols = n // 3 + 1, n // 2 + 1
 
     @classmethod
     def of(cls, grid: GridSpec) -> "_Spectra":
@@ -79,10 +86,29 @@ class _Spectra:
             cls._cache[key] = cls(grid)
         return cls._cache[key]
 
-    forward = staticmethod(_fft.rfft2)
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return _fft.rfft2(values)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return _fft.irfft2(coeffs, s=self.shape)
+
+    def band_inverse(self, coeffs: np.ndarray, cols: int) -> np.ndarray:
+        """
+        ``inverse`` of coefficients that vanish beyond the leading ``cols`` ky
+        columns: the kx pass runs on those columns only.  Overwrites ``coeffs``.
+        """
+        _fft.ifft(coeffs[:, :cols], axis=0, overwrite_x=True)
+        return _fft.irfft(coeffs, n=self.shape[1], axis=1, overwrite_x=True)
+
+    def band_forward(self, values: np.ndarray, cols: int) -> np.ndarray:
+        """
+        ``forward`` on the leading ``cols`` ky columns.  The other columns are
+        transformed along ky only, so the result is valid only under a
+        multiplier that vanishes there.
+        """
+        coeffs = _fft.rfft(values, axis=1)
+        _fft.fft(coeffs[:, :cols], axis=0, overwrite_x=True)
+        return coeffs
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -153,7 +179,7 @@ def transform_forward(f: RealField) -> SpectralField:
     """Real FFT of a real field onto the half plane. Rejects non-finite input."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("field contains non-finite values")
-    return SpectralField(f.grid, _Spectra.forward(f.values))
+    return SpectralField(f.grid, _Spectra.of(f.grid).forward(f.values))
 
 
 def transform_inverse(F: SpectralField) -> RealField:

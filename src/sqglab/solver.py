@@ -148,7 +148,9 @@ class _Stepper:
     mx = i kx and my = -i ky on the 2/3-rule band and 0 off it (on every
     mode without ``dealias``): with u = R_perp theta = (-R2 theta, R1 theta),
     -div(u theta) = mx F(R2 theta * theta) + my F(R1 theta * theta), so the
-    output mask and both signs come with the products.
+    output mask and both signs come with the products.  Every array of the
+    flux lives in the leading ``cols`` ky columns (the band with ``dealias``),
+    so its transforms are the grid's band pair on those columns.
     """
 
     def __init__(self, grid: GridSpec, alpha: float, dealias: bool = True, nonlinear: bool = True):
@@ -157,6 +159,7 @@ class _Stepper:
         self.sp = sp = _Spectra.of(grid)
         self.forward, self.inverse = sp.forward, sp.inverse
         self.dealias = dealias
+        self.cols = sp.band_cols if dealias else sp.half_cols
         self.nonlinear_enabled = nonlinear
         self.symbol = sp.kmod**alpha
         band = sp.dealias_mask if dealias else True
@@ -182,12 +185,14 @@ class _Stepper:
         """-div(R_perp(theta) theta), dealiased flux, zero mean."""
         if not self.nonlinear_enabled:
             return np.zeros_like(th_hat)
-        sp = self.sp
+        sp, cols = self.sp, self.cols
         if self.dealias:
             th_hat = np.where(sp.dealias_mask, th_hat, 0.0)
-        th = self.inverse(th_hat)
-        k = self.mx * self.forward(self.inverse(sp.riesz2 * th_hat) * th)
-        k += self.my * self.forward(self.inverse(sp.riesz1 * th_hat) * th)
+        # band_inverse overwrites its argument: theta from a copy, u from the
+        # Riesz products, which are temporaries
+        th = sp.band_inverse(th_hat.copy(), cols)
+        k = self.mx * sp.band_forward(sp.band_inverse(sp.riesz2 * th_hat, cols) * th, cols)
+        k += self.my * sp.band_forward(sp.band_inverse(sp.riesz1 * th_hat, cols) * th, cols)
         return k
 
     def _exps(self, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -168,7 +168,18 @@ def limit_scan(
     snapshot times and requires the outermost annulus to be the minimum; an
     annulus holds window points only, so one beyond ``window_radius`` is empty.
     """
-    pairs = semigroup_reference(result, t_min, t_max)
+    return _scan(semigroup_reference(result, t_min, t_max), mode, window_radius, floor_frac, threshold, annuli)
+
+
+def _scan(
+    pairs: Sequence[tuple[float, RealField, RealField]],
+    mode: str,
+    window_radius: float,
+    floor_frac: float,
+    threshold: float,
+    annuli: Sequence[float] | None = None,
+) -> ScanReport:
+    """``limit_scan`` on given (t, theta(t), P_t theta0) triples."""
     if not pairs:
         raise ValueError("run contains no positive-time snapshots in the scan range")
     if mode in (T_TO_0, T_TO_INF):
@@ -368,9 +379,11 @@ def _check_limits(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     times = _positive_times(result, "limits")
     t_split = float(np.sqrt(times[0] * times[-1]))
     window, floor, dev = _window(cfg), cfg.floor_frac, cfg.dev_threshold
-    early = limit_scan(result, T_TO_0, window, floor, dev, t_max=t_split)
-    late = limit_scan(result, T_TO_INF, window, floor, dev, t_min=t_split)
-    space = limit_scan(result, X_TO_INF, window, floor, dev)
+    # one semigroup application per snapshot, shared by the three scans
+    pairs = semigroup_reference(result)
+    early = _scan([p for p in pairs if p[0] <= t_split], T_TO_0, window, floor, dev)
+    late = _scan([p for p in pairs if p[0] >= t_split], T_TO_INF, window, floor, dev)
+    space = _scan(pairs, X_TO_INF, window, floor, dev)
     return [
         VerdictRow("limit_t_to_0", early.extreme_value, f"series min and < {dev}", early.passed),
         VerdictRow("limit_t_to_inf", late.extreme_value, f"series min and < {dev}", late.passed),

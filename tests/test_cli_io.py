@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sqglab
-from sqglab.cli import main
+import sqglab.verify as _verify
+from sqglab.cli import _load_run, main
 from sqglab.grid import GridSpec, RealField
 from sqglab.kernel import KernelProfile, load_profile, save_profile
 from sqglab.io import (
@@ -636,6 +637,29 @@ class TestVerifyCli:
         cfg_path.write_text(text.replace("slope_quantities = \n", "slope_quantities = vibes\n"))
         assert run_cli("verify", "--run", linear_run_dir, "--checks", "slopes") == 2
         assert "verification.slope_quantities" in capsys.readouterr().err
+
+    def test_limits_apply_the_semigroup_once_per_snapshot(self, tmp_path, monkeypatch):
+        out = tmp_path / "lim"
+        cfgfile = tmp_path / "lim.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=out).replace("t_end = 0.3", "t_end = 0.7").replace(
+            "snapshot_times = 0.1, 0.3", "snapshot_times = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6"))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        applied = []
+        semigroup = _verify.apply_semigroup
+        monkeypatch.setattr(_verify, "apply_semigroup", lambda f, t, a: applied.append(t) or semigroup(f, t, a))
+        run_cli("verify", "--run", out, "--checks", "limits")
+        assert len(applied) == 7
+        # the rows of three independent limit_scan calls
+        cfg, result = _load_run(out)
+        times = [t for t, _ in result.snapshots[1:]]
+        t_split = float(np.sqrt(times[0] * times[-1]))
+        args = (cfg.window_fraction * cfg.box_length, cfg.floor_frac, cfg.dev_threshold)
+        early = _verify.limit_scan(result, _verify.T_TO_0, *args, t_max=t_split)
+        late = _verify.limit_scan(result, _verify.T_TO_INF, *args, t_min=t_split)
+        space = _verify.limit_scan(result, _verify.X_TO_INF, *args)
+        with open(out / "verdict.csv", newline="") as fh:
+            measured = [row["measured"] for row in csv.DictReader(fh)]
+        assert measured == [repr(float(s.extreme_value)) for s in (early, late, space)]
 
     def test_measured_cells_are_plain_floats(self, linear_run_dir):
         # limit_x_to_inf measures a numpy scalar

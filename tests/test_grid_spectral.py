@@ -240,6 +240,36 @@ class TestDealias:
         assert np.array_equal(once.coefficients, twice.coefficients)
 
 
+class TestBandTransforms:
+    """The band pair that serves the flux term against the full transforms."""
+
+    def test_band_holds_the_dealias_mask(self):
+        sp = _Spectra.of(GridSpec(96, 20.0))
+        assert sp.dealias_mask[0, sp.band_cols - 1]
+        assert not sp.dealias_mask[:, sp.band_cols:].any()
+
+    # bit for bit where 1/n is a power of two; else the inverse scales by 1/n
+    # twice instead of by 1/n^2 once
+    @pytest.mark.parametrize("n, exact", [(32, True), (64, True), (256, True), (48, False), (96, False)])
+    @pytest.mark.parametrize("band", [True, False])
+    def test_match_full_transforms_on_the_band_columns(self, n, exact, band):
+        sp = _Spectra.of(GridSpec(n, 20.0))
+        cols = sp.band_cols if band else sp.half_cols
+        # band-limited white noise: every mode of the leading cols columns
+        coeffs = sp.forward(np.random.default_rng(n).standard_normal(sp.shape))
+        coeffs[:, cols:] = 0.0
+        values = sp.inverse(coeffs)
+        pairs = [
+            (sp.band_inverse(coeffs.copy(), cols), values),
+            (sp.band_forward(values, cols)[:, :cols], sp.forward(values)[:, :cols]),
+        ]
+        for got, want in pairs:
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 class TestNorms:
     def test_zero(self, grid_2pi):
         z = RealField(grid_2pi, np.zeros(grid_2pi.shape))

@@ -132,7 +132,7 @@ class TestNonlinearTerm:
         assert np.abs(div_form - adv).max() < 1e-8 * np.abs(adv).max()
 
 
-    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("n", [32, 64, 256])
     @pytest.mark.parametrize("dealias", [True, False])
     def test_fused_multipliers_match_reference(self, n, dealias):
         # full-band white noise puts energy in every mode the masks touch
@@ -140,6 +140,59 @@ class TestNonlinearTerm:
         st = solver._Stepper(g, 1.5, dealias)
         th_hat = st.forward(np.random.default_rng(n).standard_normal(g.shape))
         assert np.array_equal(st.nonlinear(th_hat), reference_flux(st, th_hat))
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_fused_multipliers_match_reference_off_power_of_two(self, dealias):
+        # the band inverse scales by 1/n twice, the reference by 1/n^2 once
+        g = GridSpec(48, 20.0)
+        st = solver._Stepper(g, 1.5, dealias)
+        th_hat = st.forward(np.random.default_rng(48).standard_normal(g.shape))
+        want = reference_flux(st, th_hat)
+        assert np.abs(st.nonlinear(th_hat) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestFluxTransforms:
+    """The flux term runs on band transforms that overwrite their argument."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_no_caller_array_overwritten(self, dealias):
+        g = GridSpec(32, 20.0)
+        th0 = gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0)
+        cfg = cfg_for(g, dealias=dealias, snapshot_times=(0.05,))
+        st = solver._Stepper(g, 1.5, dealias)
+        th_hat = st.forward(th0.values)
+        shared = [th0.values, th_hat, st.mx, st.my, st.sp.riesz1, st.sp.riesz2]
+        kept = [a.copy() for a in shared]
+        st.nonlinear(th_hat)
+        st.step(th_hat, 0.05)
+        nonlinear_term(th0, 1.5, dealias)
+        step_ifrk4(SimulationState(0.0, th0), cfg)
+        run_simulation(cfg, th0)
+        picard_iterate(th0, 0.1, 2, TimeGrid(0.1, a=1 / 1.5, b=0.0, m=6), cfg)
+        for a, b in zip(shared, kept):
+            assert np.array_equal(a, b)
+        # frozen like SpectralField.coefficients
+        frozen = transform_forward(th0).coefficients
+        assert not frozen.flags.writeable
+        assert np.array_equal(st.nonlinear(frozen), st.nonlinear(th_hat))
+
+    def test_step_makes_no_full_transform(self, monkeypatch):
+        # a fallback to rfft2/irfft2 gives the same numbers, so only a count shows it
+        import sqglab.grid as grid_mod
+
+        calls = []
+        for name in ("irfft2", "rfft2"):
+            full = getattr(grid_mod._fft, name)
+            monkeypatch.setattr(grid_mod._fft, name,
+                                lambda *a, _full=full, _name=name, **k: calls.append(_name) or _full(*a, **k))
+        g = GridSpec(64, 20.0)
+        st = solver._Stepper(g, 1.5, dealias=True)
+        th_hat = st.forward(gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0).values)
+        calls.clear()
+        st.step(th_hat, 0.05)
+        assert calls == []
+        st.inverse(th_hat)
+        assert calls == ["irfft2"]
 
 
 class TestStepper:

@@ -9,10 +9,12 @@ Odd-order multipliers zero the Nyquist entries (kx = -n/2, ky = n/2) so that
 derivatives of real fields stay real.  ``_Spectra`` is the only place that
 knows this layout.  Fields are immutable; every operation returns a new field.
 
-Of the ``_Spectra`` transforms, ``band_inverse`` overwrites the coefficient
-array it is given (pass a temporary or a copy, never a field's frozen
-coefficients); ``forward``, ``inverse`` and ``band_forward`` leave their
-argument as it is.
+Of the ``_Spectra`` transforms, ``forward`` and ``inverse`` return fresh
+arrays and leave their argument as it is.  ``inverse_into`` and
+``forward_into`` write into buffers the caller owns and passes in: the
+inverse runs its kx pass in place in the half plane it is given (a scratch
+buffer, never a field's coefficients) and writes the field into ``out``; the
+forward writes the half plane into ``out``.
 """
 
 from __future__ import annotations
@@ -92,23 +94,26 @@ class _Spectra:
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return _fft.irfft2(coeffs, s=self.shape)
 
-    def band_inverse(self, coeffs: np.ndarray, cols: int) -> np.ndarray:
+    def inverse_into(self, half: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
         """
-        ``inverse`` of coefficients that vanish beyond the leading ``cols`` ky
-        columns: the kx pass runs on those columns only.  Overwrites ``coeffs``.
+        ``inverse`` of the full-width half plane ``half``, whose columns
+        beyond the leading ``cols`` must vanish, written into ``out``.  The kx
+        pass runs in place on those columns, so ``half`` is consumed.
         """
-        _fft.ifft(coeffs[:, :cols], axis=0, overwrite_x=True)
-        return _fft.irfft(coeffs, n=self.shape[1], axis=1, overwrite_x=True)
+        block = half[:, :cols]
+        np.fft.ifft(block, axis=0, out=block)
+        return np.fft.irfft(half, n=self.shape[1], axis=1, out=out)
 
-    def band_forward(self, values: np.ndarray, cols: int) -> np.ndarray:
+    def forward_into(self, values: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
         """
-        ``forward`` on the leading ``cols`` ky columns.  The other columns are
-        transformed along ky only, so the result is valid only under a
-        multiplier that vanishes there.
+        ``forward`` of ``values`` into the full-width ``out``, exact on the
+        leading ``cols`` columns.  The others are transformed along ky only,
+        so they are valid only under a multiplier that vanishes there.
         """
-        coeffs = _fft.rfft(values, axis=1)
-        _fft.fft(coeffs[:, :cols], axis=0, overwrite_x=True)
-        return coeffs
+        np.fft.rfft(values, axis=1, out=out)
+        block = out[:, :cols]
+        np.fft.fft(block, axis=0, out=block)
+        return out
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -245,12 +250,18 @@ def dealias(F: SpectralField) -> SpectralField:
 
 def lp_norm(f: RealField, p: float) -> float:
     """Grid L^p norm with cell measure dx^2; sup norm for p = inf."""
+    return _lp_norm(f.values, p, f.grid.dx, np.empty(f.grid.shape))
+
+
+def _lp_norm(values: np.ndarray, p: float, dx: float, scratch: np.ndarray) -> float:
+    """``lp_norm`` of ``values``, forming |values|^p in ``scratch``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(f.values)
+    a = np.abs(values, out=scratch)
     if np.isinf(p):
         return float(a.max())
-    return float((np.sum(a**p) * f.grid.dx**2) ** (1.0 / p))
+    a **= p
+    return float((np.sum(a) * dx**2) ** (1.0 / p))
 
 
 def spectral_l2_norm(F: SpectralField) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import GridSpec, RealField, _Spectra, lp_norm
+from .grid import GridSpec, RealField, _lp_norm, _Spectra
 from .special import TimeGrid
 
 __all__ = [
@@ -150,7 +150,15 @@ class _Stepper:
     -div(u theta) = mx F(R2 theta * theta) + my F(R1 theta * theta), so the
     output mask and both signs come with the products.  Every array of the
     flux lives in the leading ``cols`` ky columns (the band with ``dealias``),
-    so its transforms are the grid's band pair on those columns.
+    so the flux and the stage arithmetic of ``step`` run on (n, cols) blocks.
+
+    The stepper owns its buffers and allocates them once: ``half`` (a
+    full-width half plane, the kx-pass input of every inverse and the output
+    of every forward) and ``u`` (an (n, n) field) serve the flux and the
+    diagnostics; with ``nonlinear`` on, ``theta`` ((n, n)) and the blocks
+    ``stage``, ``k1``, ``k2`` and ``k3`` serve the flux and the stages.  No
+    method hands one out: the state from ``step``, the flux from
+    ``nonlinear`` and the theta from ``diagnostics`` are fresh arrays.
     """
 
     def __init__(self, grid: GridSpec, alpha: float, dealias: bool = True, nonlinear: bool = True):
@@ -159,59 +167,115 @@ class _Stepper:
         self.sp = sp = _Spectra.of(grid)
         self.forward, self.inverse = sp.forward, sp.inverse
         self.dealias = dealias
-        self.cols = sp.band_cols if dealias else sp.half_cols
+        self.cols = c = sp.band_cols if dealias else sp.half_cols
         self.nonlinear_enabled = nonlinear
         self.symbol = sp.kmod**alpha
         band = sp.dealias_mask if dealias else True
-        self.mx = np.where(band, 1j * sp.kx_odd, 0.0)
-        self.my = np.where(band, -1j * sp.ky_odd, 0.0)
-        self._exp_cache: tuple[float, np.ndarray, np.ndarray] | None = None
+        self.mx = np.where(band, 1j * sp.kx_odd, 0.0)[:, :c].copy()
+        self.my = np.where(band, -1j * sp.ky_odd, 0.0)[:, :c].copy()
+        self.off_band = ~sp.dealias_mask[:, :c]
+        self.half = np.empty(self.symbol.shape, dtype=complex)
+        self.u = np.empty(grid.shape)
+        if nonlinear:
+            self.theta = np.empty(grid.shape)
+            self.stage, self.k1, self.k2, self.k3 = np.empty((4, grid.n, c), dtype=complex)
+        self._exp_cache: tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def diagnostics(self, th_hat: np.ndarray, t: float) -> tuple[DiagnosticRecord, RealField]:
         """The record of ``th_hat`` at time t, whose riesz_linf sets the CFL limit, and theta."""
-        theta = RealField(self.grid, self.inverse(th_hat))
+        sp, half, u, dx = self.sp, self.half, self.u, self.grid.dx
+        theta = np.empty(self.grid.shape)
+        np.copyto(half, th_hat)
+        sp.inverse_into(half, sp.half_cols, theta)
+        riesz = []
+        for r in (sp.riesz2, sp.riesz1):
+            np.multiply(r, th_hat, out=half)
+            riesz.append(_lp_norm(sp.inverse_into(half, sp.half_cols, u), np.inf, dx, u))
         rec = DiagnosticRecord(
             time=t,
-            l2=lp_norm(theta, 2),
-            lcrit=lp_norm(theta, self.p_crit),
-            linf=float(np.max(np.abs(theta.values))),
-            riesz_linf=float(max(np.max(np.abs(self.inverse(r * th_hat)))
-                                 for r in (self.sp.riesz2, self.sp.riesz1))),
-            mean=float(theta.values.mean()),
+            l2=_lp_norm(theta, 2, dx, u),
+            lcrit=_lp_norm(theta, self.p_crit, dx, u),
+            linf=_lp_norm(theta, np.inf, dx, u),
+            riesz_linf=max(riesz),
+            mean=float(theta.mean()),
         )
-        return rec, theta
+        return rec, RealField(self.grid, theta)
 
     def nonlinear(self, th_hat: np.ndarray) -> np.ndarray:
-        """-div(R_perp(theta) theta), dealiased flux, zero mean."""
+        """-div(R_perp(theta) theta), dealiased flux, zero mean, as a fresh array."""
         if not self.nonlinear_enabled:
             return np.zeros_like(th_hat)
-        sp, cols = self.sp, self.cols
-        if self.dealias:
-            th_hat = np.where(sp.dealias_mask, th_hat, 0.0)
-        # band_inverse overwrites its argument: theta from a copy, u from the
-        # Riesz products, which are temporaries
-        th = sp.band_inverse(th_hat.copy(), cols)
-        k = self.mx * sp.band_forward(sp.band_inverse(sp.riesz2 * th_hat, cols) * th, cols)
-        k += self.my * sp.band_forward(sp.band_inverse(sp.riesz1 * th_hat, cols) * th, cols)
+        k = np.zeros_like(self.half)
+        np.copyto(self.stage, th_hat[:, : self.cols])
+        self._flux(self.stage, k[:, : self.cols])
         return k
 
-    def _exps(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def _flux(self, stage: np.ndarray, k: np.ndarray) -> None:
+        """The flux of the block ``stage`` into the block ``k``; masks ``stage`` in place."""
+        sp, c, half = self.sp, self.cols, self.half
+        if self.dealias:
+            np.copyto(stage, 0.0, where=self.off_band)
+        half[:, c:] = 0.0
+        half[:, :c] = stage
+        theta = sp.inverse_into(half, c, self.theta)
+        np.multiply(self.mx, self._riesz_product(sp.riesz2, stage, theta), out=k)
+        f = self._riesz_product(sp.riesz1, stage, theta)
+        k += np.multiply(self.my, f, out=f)
+
+    def _riesz_product(self, riesz: np.ndarray, stage: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """F(R theta * theta) on the block, in ``half``, for the Riesz symbol ``riesz``."""
+        sp, c, half, u = self.sp, self.cols, self.half, self.u
+        half[:, c:] = 0.0
+        np.multiply(riesz[:, :c], stage, out=half[:, :c])
+        sp.inverse_into(half, c, u)
+        u *= theta
+        return sp.forward_into(u, c, half)[:, :c]
+
+    def _exps(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """E = exp(-dt symbol), Eh = exp(-dt symbol / 2), and dt Eh and 2 Eh on the block."""
         if self._exp_cache is None or self._exp_cache[0] != dt:
             E = np.exp(-dt * self.symbol)
             Eh = np.exp(-0.5 * dt * self.symbol)
-            self._exp_cache = (dt, E, Eh)
-        return self._exp_cache[1], self._exp_cache[2]
+            c = self.cols
+            self._exp_cache = (dt, E, Eh, dt * Eh[:, :c], 2.0 * Eh[:, :c])
+        return self._exp_cache[1:]
 
     def step(self, th_hat: np.ndarray, dt: float) -> np.ndarray:
-        """One integrating-factor RK4 step; exact on the linear part."""
-        E, Eh = self._exps(dt)
+        """
+        One integrating-factor RK4 step; exact on the linear part.  With the
+        flux zero beyond the block, the new state there is E th_hat.
+        """
+        E, Eh, dt_Eh, two_Eh = self._exps(dt)
+        new = E * th_hat
         if not self.nonlinear_enabled:
-            return E * th_hat
-        k1 = self.nonlinear(th_hat)
-        k2 = self.nonlinear(Eh * (th_hat + 0.5 * dt * k1))
-        k3 = self.nonlinear(Eh * th_hat + 0.5 * dt * k2)
-        k4 = self.nonlinear(E * th_hat + dt * Eh * k3)
-        return E * th_hat + (dt / 6.0) * (E * k1 + 2.0 * Eh * (k2 + k3) + k4)
+            return new
+        c = self.cols
+        s, k1, k2, k3 = self.stage, self.k1, self.k2, self.k3
+        th, E, Eh = th_hat[:, :c], E[:, :c], Eh[:, :c]
+        # k1 = N(th)
+        np.copyto(s, th)
+        self._flux(s, k1)
+        # k2 = N(Eh (th + dt/2 k1))
+        np.multiply(0.5 * dt, k1, out=s)
+        np.add(th, s, out=s)
+        np.multiply(Eh, s, out=s)
+        self._flux(s, k2)
+        # k3 = N(Eh th + dt/2 k2)
+        np.multiply(Eh, th, out=s)
+        s += np.multiply(0.5 * dt, k2, out=k3)
+        self._flux(s, k3)
+        # k4 = N(E th + dt Eh k3), into k3's block once k2 + k3 is formed
+        k2 += k3
+        np.multiply(E, th, out=s)
+        s += np.multiply(dt_Eh, k3, out=k3)
+        self._flux(s, k3)
+        # E th + dt/6 (E k1 + 2 Eh (k2 + k3) + k4)
+        np.multiply(E, k1, out=k1)
+        k1 += np.multiply(two_Eh, k2, out=k2)
+        k1 += k3
+        np.multiply(dt / 6.0, k1, out=k1)
+        new[:, :c] += k1
+        return new
 
     def cfl_dt(self, rec: DiagnosticRecord, cfl_safety: float) -> float:
         if rec.riesz_linf <= 0:

@@ -241,7 +241,7 @@ class TestDealias:
 
 
 class TestBandTransforms:
-    """The band pair that serves the flux term against the full transforms."""
+    """The buffer-writing pair that serves the flux term, against the full transforms."""
 
     def test_band_holds_the_dealias_mask(self):
         sp = _Spectra.of(GridSpec(96, 20.0))
@@ -259,15 +259,26 @@ class TestBandTransforms:
         coeffs = sp.forward(np.random.default_rng(n).standard_normal(sp.shape))
         coeffs[:, cols:] = 0.0
         values = sp.inverse(coeffs)
+        phys, half = np.empty(sp.shape), np.empty_like(coeffs)
         pairs = [
-            (sp.band_inverse(coeffs.copy(), cols), values),
-            (sp.band_forward(values, cols)[:, :cols], sp.forward(values)[:, :cols]),
+            (sp.inverse_into(coeffs.copy(), cols, phys), values),
+            (sp.forward_into(values, cols, half)[:, :cols], sp.forward(values)[:, :cols]),
         ]
         for got, want in pairs:
             if exact:
                 assert np.array_equal(got, want)
             else:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_write_into_the_caller_buffers(self):
+        sp = _Spectra.of(GridSpec(32, 20.0))
+        values = np.random.default_rng(5).standard_normal(sp.shape)
+        kept = values.copy()
+        half, phys = np.empty((32, sp.half_cols), dtype=complex), np.empty(sp.shape)
+        assert sp.forward_into(values, sp.half_cols, half) is half
+        assert np.array_equal(values, kept)
+        assert sp.inverse_into(half, sp.half_cols, phys) is phys
+        assert np.abs(phys - values).max() <= 1e-14
 
 
 class TestNorms:
@@ -289,6 +300,13 @@ class TestNorms:
         g = GridSpec(32, 5.0)
         f = make_random_field(g, 23)
         assert lp_norm(RealField(g, c * f.values), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 2.5, 4.0, 10.0])
+    def test_matches_the_plain_expression(self, p):
+        # bit for bit: the stepper's diagnostics are held to lp_norm
+        g = GridSpec(48, 5.0)
+        f = make_random_field(g, 29)
+        assert lp_norm(f, p) == float((np.sum(np.abs(f.values) ** p) * g.dx**2) ** (1.0 / p))
 
     def test_p_below_one(self, grid_2pi):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,30 @@ def reference_flux(st, th_hat):
     return -(1j * sp.kx_odd * f1 + 1j * sp.ky_odd * f2)
 
 
+def reference_step(st, th_hat, dt):
+    """One IF-RK4 step as plain full-plane expressions over reference_flux."""
+    E, Eh = np.exp(-dt * st.symbol), np.exp(-0.5 * dt * st.symbol)
+    k1 = reference_flux(st, th_hat)
+    k2 = reference_flux(st, Eh * (th_hat + 0.5 * dt * k1))
+    k3 = reference_flux(st, Eh * th_hat + 0.5 * dt * k2)
+    k4 = reference_flux(st, E * th_hat + dt * Eh * k3)
+    return E * th_hat + (dt / 6.0) * (E * k1 + 2.0 * Eh * (k2 + k3) + k4)
+
+
+def reference_diagnostics(st, th_hat):
+    """The diagnostics' theta and norms from irfft2 and lp_norm."""
+    sp, g = st.sp, st.grid
+    theta = RealField(g, sp.inverse(th_hat))
+    riesz = max(np.abs(sp.inverse(r * th_hat)).max() for r in (sp.riesz2, sp.riesz1))
+    norms = (lp_norm(theta, 2), lp_norm(theta, st.p_crit), lp_norm(theta, np.inf), riesz, theta.values.mean())
+    return theta.values, np.array(norms)
+
+
+def white_noise_hat(st, seed):
+    # full-band white noise puts energy in every mode the masks touch
+    return st.forward(np.random.default_rng(seed).standard_normal(st.grid.shape))
+
+
 class TestConfigValidation:
     def test_alpha_range(self, grid128):
         for bad in (1.0, 2.0, 0.5):
@@ -135,24 +161,21 @@ class TestNonlinearTerm:
     @pytest.mark.parametrize("n", [32, 64, 256])
     @pytest.mark.parametrize("dealias", [True, False])
     def test_fused_multipliers_match_reference(self, n, dealias):
-        # full-band white noise puts energy in every mode the masks touch
-        g = GridSpec(n, 20.0)
-        st = solver._Stepper(g, 1.5, dealias)
-        th_hat = st.forward(np.random.default_rng(n).standard_normal(g.shape))
+        st = solver._Stepper(GridSpec(n, 20.0), 1.5, dealias)
+        th_hat = white_noise_hat(st, n)
         assert np.array_equal(st.nonlinear(th_hat), reference_flux(st, th_hat))
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_fused_multipliers_match_reference_off_power_of_two(self, dealias):
         # the band inverse scales by 1/n twice, the reference by 1/n^2 once
-        g = GridSpec(48, 20.0)
-        st = solver._Stepper(g, 1.5, dealias)
-        th_hat = st.forward(np.random.default_rng(48).standard_normal(g.shape))
+        st = solver._Stepper(GridSpec(48, 20.0), 1.5, dealias)
+        th_hat = white_noise_hat(st, 48)
         want = reference_flux(st, th_hat)
         assert np.abs(st.nonlinear(th_hat) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestFluxTransforms:
-    """The flux term runs on band transforms that overwrite their argument."""
+    """The flux, the stages and the diagnostics run in the stepper's own buffers."""
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_no_caller_array_overwritten(self, dealias):
@@ -174,7 +197,81 @@ class TestFluxTransforms:
         # frozen like SpectralField.coefficients
         frozen = transform_forward(th0).coefficients
         assert not frozen.flags.writeable
-        assert np.array_equal(st.nonlinear(frozen), st.nonlinear(th_hat))
+        assert np.array_equal(st.nonlinear(frozen).copy(), st.nonlinear(th_hat).copy())
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_results_share_no_memory_with_the_workspace(self, dealias, monkeypatch):
+        made = []
+
+        class Recorded(solver._Stepper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_Stepper", Recorded)
+        g = GridSpec(32, 20.0)
+        cfg = cfg_for(g, dealias=dealias, snapshot_times=(0.05,))
+        tg = TimeGrid(0.1, a=1 / 1.5, b=0.0, m=6)
+
+        def results(th0):
+            st = solver._Stepper(g, 1.5, dealias)
+            th_hat = st.forward(th0.values)
+            return [
+                st.nonlinear(th_hat),
+                st.step(th_hat, 0.05),
+                st.diagnostics(th_hat, 0.0)[1].values,
+                nonlinear_term(th0, 1.5, dealias).values,
+                step_ifrk4(SimulationState(0.0, th0), cfg).theta.values,
+                picard_iterate(th0, 0.1, 2, tg, cfg).theta.values,
+                *(f.values for _, f in run_simulation(cfg, th0).snapshots[1:]),
+            ]
+
+        got = results(gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0))
+        kept = [a.copy() for a in got]
+        workspace = [a for st in made for a in vars(st).values() if isinstance(a, np.ndarray)]
+        assert len(made) == 5  # one per entry point
+        for a in got:
+            assert not any(np.shares_memory(a, w) for w in workspace)
+        # later calls on other data, through the same steppers and new ones
+        again = gaussian_bump(g, amplitude=0.3, width=1.0, aspect=1.5)
+        made[0].nonlinear(made[0].forward(again.values))
+        made[0].step(made[0].forward(again.values), 0.05)
+        made[0].diagnostics(made[0].forward(again.values), 0.0)
+        results(again)
+        for a, b in zip(got, kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_step_matches_reference(self, n, dealias):
+        st = solver._Stepper(GridSpec(n, 20.0), 1.5, dealias)
+        th_hat = white_noise_hat(st, n)
+        assert np.array_equal(st.step(th_hat, 0.01), reference_step(st, th_hat, 0.01))
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_step_matches_reference_off_power_of_two(self, dealias):
+        st = solver._Stepper(GridSpec(48, 20.0), 1.5, dealias)
+        th_hat = white_noise_hat(st, 48)
+        want = reference_step(st, th_hat, 0.01)
+        assert np.abs(st.step(th_hat, 0.01) - want).max() <= 1e-15 * np.abs(want).max()
+
+    # the diagnostics invert in two passes, scaling by 1/n twice: bit for bit
+    # where 1/n is a power of two, roundoff elsewhere
+    @pytest.mark.parametrize("n, exact", [(32, True), (64, True), (256, True), (48, False)])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_diagnostics_match_full_transforms(self, n, exact, nonlinear):
+        st = solver._Stepper(GridSpec(n, 20.0), 1.5, nonlinear=nonlinear)
+        th_hat = white_noise_hat(st, n)
+        rec, theta = st.diagnostics(th_hat, 0.25)
+        got = np.array([rec.l2, rec.lcrit, rec.linf, rec.riesz_linf, rec.mean])
+        want_theta, want = reference_diagnostics(st, th_hat)
+        assert rec.time == 0.25
+        if exact:
+            assert np.array_equal(theta.values, want_theta)
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(theta.values - want_theta).max() <= 1e-15 * np.abs(want_theta).max()
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     def test_step_makes_no_full_transform(self, monkeypatch):
         # a fallback to rfft2/irfft2 gives the same numbers, so only a count shows it
@@ -193,6 +290,28 @@ class TestFluxTransforms:
         assert calls == []
         st.inverse(th_hat)
         assert calls == ["irfft2"]
+
+    def test_step_and_diagnostics_allocate_only_their_results(self):
+        # a temporary the size of a stage array shows here as a higher peak
+        g = GridSpec(256, 40.0)
+        st = solver._Stepper(g, 1.5, dealias=True)
+        th_hat = st.forward(gaussian_bump(g, amplitude=0.25, width=1.0, aspect=2.0).values)
+        st.diagnostics(st.step(th_hat, 0.05), 0.05)  # warm-up: the exponential cache
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: st.step(th_hat, 0.05), lambda: st.diagnostics(th_hat, 0.05)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del result
+        finally:
+            tracemalloc.stop()
+        # the step: its new state plus the casting buffers of numpy's ufuncs
+        assert peaks[0] <= 2 * th_hat.nbytes
+        # the diagnostics: theta plus the record and field objects
+        assert peaks[1] <= 8 * g.n**2 + 4096
 
 
 class TestStepper:

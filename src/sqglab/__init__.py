@@ -36,13 +36,11 @@ from .solver import (
     DiagnosticRecord,
     PicardResult,
     SimulationResult,
-    SimulationState,
     SolverConfig,
     critical_exponent,
     nonlinear_term,
     picard_iterate,
     run_simulation,
-    step_ifrk4,
 )
 from .special import TimeGrid, apply_T_gamma, beta, radial_singular_integral, singular_time_convolution
 from .verify import (

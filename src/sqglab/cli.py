@@ -33,8 +33,8 @@ from .io import (
     write_verdicts,
 )
 from .runconfig import ConfigError, RunConfig, _names, _validate, parse_config_file, serialize_config
-from .solver import (DECAY_QUANTITIES, BlowUpError, CflViolationError, PicardDivergenceError,
-                     SimulationResult, _snapshot_targets, run_simulation)
+from .solver import (DECAY_QUANTITIES, BlowUpError, PicardDivergenceError, SimulationResult,
+                     _snapshot_targets, run_simulation)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -115,12 +115,6 @@ def _cmd_verify(args) -> int:
     if args.checks is not None:
         # the selection is held to the rules of verification.checks, as in config.cfg
         cfg = _validate(dataclasses.replace(cfg, checks=_names(args.checks)))
-    if args.kernel:
-        prof = _kernel.load_profile(args.kernel)
-        if abs(prof.alpha - cfg.alpha) > 1e-12:
-            raise ValueError(
-                f"kernel profile alpha {prof.alpha} does not match run alpha {cfg.alpha}"
-            )
     rows = _verify.run_checks(cfg, result, cfg.checks)
     write_verdicts(run_dir / "verdict.csv", rows)
     table = format_verdict_table(rows)
@@ -191,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="evaluate estimate checks on a run directory")
     v.add_argument("--run", required=True)
     v.add_argument("--checks", default=None)
-    v.add_argument("--kernel", default=None, help="kernel profile for alpha cross-check")
     v.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("special", help="special-function studies")
@@ -231,7 +224,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, OSError, PicardDivergenceError,
-            BlowUpError, CflViolationError, _kernel.QuadratureConvergenceError) as e:
+            BlowUpError, _kernel.QuadratureConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:

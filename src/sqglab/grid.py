@@ -19,6 +19,7 @@ forward writes the half plane into ``out``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,12 +208,29 @@ def apply_fractional_laplacian(f: RealField, alpha: float) -> RealField:
 
 def apply_semigroup(f: RealField, t: float, alpha: float) -> RealField:
     """Stable semigroup P_t f via the exp(-t |xi|^alpha) multiplier; P_0 = identity."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    return next(semigroup_orbit(f, (t,), alpha))
+
+
+def semigroup_orbit(f: RealField, times: Iterable[float], alpha: float) -> Iterator[RealField]:
+    """
+    P_t f for each t of ``times`` in turn, from one forward transform of f.
+    Every time and alpha are checked before any work; each P_t f is formed
+    only when it is asked for, so a caller holds one at a time.
+    """
+    times = list(times)
+    for t in times:
+        if t < 0:
+            raise ValueError(f"semigroup time must be nonnegative, got {t}")
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
+    return _orbit(f, times, alpha)
+
+
+def _orbit(f: RealField, times: list[float], alpha: float) -> Iterator[RealField]:
     sp = _Spectra.of(f.grid)
-    return _apply_multiplier(f, np.exp(-t * sp.kmod**alpha))
+    fh, symbol = sp.forward(f.values), sp.kmod**alpha
+    for t in times:
+        yield RealField(f.grid, sp.inverse(np.exp(-t * symbol) * fh))
 
 
 def apply_riesz(f: RealField, i: int) -> RealField:

@@ -13,7 +13,8 @@ import functools
 
 import numpy as np
 
-from .grid import GridSpec, RealField, _Spectra, apply_riesz_perp, apply_semigroup
+from .grid import (GridSpec, MultiIndex, RealField, _Spectra, apply_derivative, apply_riesz_perp,
+                   semigroup_orbit)
 
 __all__ = [
     "gaussian_bump",
@@ -177,15 +178,12 @@ def ladder_tie_phase(
     b = RealField(g, _compound_bump(g, (12.0, 12.0), 1.0, 0.0, aspect, halo))
     uu = np.geomspace(0.02, 30.0, 72)
     vals = np.empty_like(uu)
-    for i, u in enumerate(uu):
-        f = apply_semigroup(b, float(u), alpha)
+    for i, f in enumerate(semigroup_orbit(b, uu.tolist(), alpha)):
         if norm == "linf":
             vals[i] = np.abs(f.values).max()
             continue
         u1, u2 = apply_riesz_perp(f)
         if norm == "riesz_grad":
-            from .grid import MultiIndex, apply_derivative
-
             u1 = apply_derivative(u1, MultiIndex(1, 0))
             u2 = apply_derivative(u2, MultiIndex(0, 1))
         vals[i] = max(np.abs(u1.values).max(), np.abs(u2.values).max())

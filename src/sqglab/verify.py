@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import MultiIndex, RealField, apply_derivative, apply_semigroup, lp_norm
+from .grid import MultiIndex, RealField, apply_derivative, lp_norm, semigroup_orbit
 from .solver import DiagnosticRecord, SimulationResult, critical_exponent
 
 if TYPE_CHECKING:
@@ -141,13 +141,16 @@ def semigroup_reference(
     result: SimulationResult, t_min: float = 0.0, t_max: float = math.inf
 ) -> list[tuple[float, RealField, RealField]]:
     """(t, theta(t), P_t theta0) for every snapshot time t > 0 in [t_min, t_max]."""
-    theta0 = result.snapshots[0][1]
-    out = []
-    for t, th in result.snapshots:
-        if t <= 0 or not t_min <= t <= t_max:
-            continue
-        out.append((t, th, apply_semigroup(theta0, t, result.config.alpha)))
-    return out
+    kept = [(t, th) for t, th in result.snapshots if t > 0 and t_min <= t <= t_max]
+    return _with_orbit(kept, result.snapshots[0][1], result.config.alpha)
+
+
+def _with_orbit(
+    snaps: Sequence[tuple[float, RealField]], f: RealField, alpha: float
+) -> list[tuple[float, RealField, RealField]]:
+    """(t, theta(t), P_t f) for each (t, theta(t)) of ``snaps``, from one transform of f."""
+    orbit = semigroup_orbit(f, [t for t, _ in snaps], alpha)
+    return [(t, th, pt) for (t, th), pt in zip(snaps, orbit)]
 
 
 def limit_scan(
@@ -396,7 +399,7 @@ def _check_gradients(cfg: RunConfig, result: SimulationResult) -> list[VerdictRo
     _positive_times(result, "gradients")
     theta0 = result.snapshots[0][1]
     abs0 = RealField(theta0.grid, np.abs(theta0.values))
-    refs = [(t, th, apply_semigroup(abs0, t, cfg.alpha)) for t, th in result.snapshots if t > 0]
+    refs = _with_orbit([(t, th) for t, th in result.snapshots if t > 0], abs0, cfg.alpha)
     rows = []
     for kappa in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(1, 1), MultiIndex(0, 2)):
         qs = [gradient_bound_diag(th, pt, kappa, t, cfg.alpha, _window(cfg), cfg.floor_frac)

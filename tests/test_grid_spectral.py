@@ -15,10 +15,12 @@ from sqglab.grid import (
     dealias,
     lp_norm,
     mean_value,
+    semigroup_orbit,
     spectral_l2_norm,
     transform_forward,
     transform_inverse,
 )
+import sqglab.initial_data as initial_data
 from sqglab.initial_data import random_band_limited
 
 from conftest import make_random_field
@@ -152,6 +154,60 @@ class TestSemigroup:
         f = make_random_field(grid_small, 7)
         for t in (0.1, 1.0, 10.0):
             assert lp_norm(apply_semigroup(f, t, 1.5), p) <= lp_norm(f, p) * (1 + 1e-12)
+
+
+def multiplier_semigroup(f, t, alpha):
+    """P_t f as one forward transform, the exp(-t |xi|^alpha) multiplier and one inverse."""
+    sp = _Spectra.of(f.grid)
+    return RealField(f.grid, sp.inverse(np.exp(-t * sp.kmod**alpha) * sp.forward(f.values)))
+
+
+class TestSemigroupOrbit:
+    TIMES = (0.0, 0.03, 0.5, 2.0, 0.5, 11.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
+    def test_each_time_is_the_one_time_semigroup(self, grid_small, alpha):
+        f = make_random_field(grid_small, 3)
+        got = list(semigroup_orbit(f, self.TIMES, alpha))
+        assert len(got) == len(self.TIMES)
+        for t, pt in zip(self.TIMES, got):
+            assert np.array_equal(pt.values, apply_semigroup(f, t, alpha).values)
+            assert np.array_equal(pt.values, multiplier_semigroup(f, t, alpha).values)
+
+    def test_one_forward_transform(self, grid_small, monkeypatch):
+        f = make_random_field(grid_small, 4)
+        calls = []
+        forward = _Spectra.forward
+        monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1) or forward(self, v))
+        orbit = semigroup_orbit(f, self.TIMES, 1.5)
+        assert calls == []  # lazy: nothing is transformed before the first field is asked for
+        assert len(list(orbit)) == len(self.TIMES)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("times, alpha", [((0.1, 0.2, -0.1), 1.5), ((0.1,), 2.5), ((0.1,), 0.9)])
+    def test_bad_time_or_alpha_raises_before_any_field(self, grid_small, times, alpha, monkeypatch):
+        f = make_random_field(grid_small, 5)
+        calls = []
+        monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1))
+        with pytest.raises(ValueError):
+            semigroup_orbit(f, times, alpha)
+        assert calls == []
+
+    @pytest.mark.parametrize("norm", ["linf", "riesz", "riesz_grad"])
+    def test_ladder_tie_phase_unchanged(self, norm, monkeypatch):
+        def per_time(f, times, alpha):
+            return (multiplier_semigroup(f, t, alpha) for t in times)
+
+        try:
+            initial_data.ladder_tie_phase.cache_clear()
+            got = initial_data.ladder_tie_phase(1.5, 2**0.5, norm)
+            initial_data.ladder_tie_phase.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(initial_data, "semigroup_orbit", per_time)
+                want = initial_data.ladder_tie_phase(1.5, 2**0.5, norm)
+        finally:
+            initial_data.ladder_tie_phase.cache_clear()
+        assert got == want
 
 
 class TestRiesz:

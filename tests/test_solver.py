@@ -20,15 +20,12 @@ from sqglab.initial_data import gaussian_bump, multiscale_ladder
 import sqglab.solver as solver
 from sqglab.solver import (
     BlowUpError,
-    CflViolationError,
     PicardDivergenceError,
-    SimulationState,
     SolverConfig,
     critical_exponent,
     nonlinear_term,
     picard_iterate,
     run_simulation,
-    step_ifrk4,
 )
 from sqglab.special import TimeGrid
 
@@ -123,6 +120,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg_for(grid128, scheme="euler")
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", np.nan), ("dt", np.inf), ("t_end", np.nan), ("t_end", np.inf),
+        ("snapshot_times", (0.05, np.nan)), ("snapshot_times", (np.inf,)),
+    ])
+    def test_non_finite_times_refused(self, grid128, name, value):
+        with pytest.raises(ValueError, match=name):
+            cfg_for(grid128, **{name: value})
+
 
 class TestNonlinearTerm:
     def test_constant_field(self, grid128):
@@ -189,7 +194,6 @@ class TestFluxTransforms:
         st.nonlinear(th_hat)
         st.step(th_hat, 0.05)
         nonlinear_term(th0, 1.5, dealias)
-        step_ifrk4(SimulationState(0.0, th0), cfg)
         run_simulation(cfg, th0)
         picard_iterate(th0, 0.1, 2, TimeGrid(0.1, a=1 / 1.5, b=0.0, m=6), cfg)
         for a, b in zip(shared, kept):
@@ -221,7 +225,6 @@ class TestFluxTransforms:
                 st.step(th_hat, 0.05),
                 st.diagnostics(th_hat, 0.0)[1].values,
                 nonlinear_term(th0, 1.5, dealias).values,
-                step_ifrk4(SimulationState(0.0, th0), cfg).theta.values,
                 picard_iterate(th0, 0.1, 2, tg, cfg).theta.values,
                 *(f.values for _, f in run_simulation(cfg, th0).snapshots[1:]),
             ]
@@ -229,7 +232,7 @@ class TestFluxTransforms:
         got = results(gaussian_bump(g, amplitude=0.5, width=1.5, aspect=2.0))
         kept = [a.copy() for a in got]
         workspace = [a for st in made for a in vars(st).values() if isinstance(a, np.ndarray)]
-        assert len(made) == 5  # one per entry point
+        assert len(made) == 4  # one per entry point
         for a in got:
             assert not any(np.shares_memory(a, w) for w in workspace)
         # later calls on other data, through the same steppers and new ones
@@ -316,25 +319,32 @@ class TestFluxTransforms:
 
 class TestStepper:
     def test_zero_data_stays_zero(self, grid128):
-        cfg = cfg_for(grid128)
-        st = SimulationState(0.0, RealField(grid128, np.zeros(grid128.shape)))
-        out = step_ifrk4(st, cfg)
-        assert np.all(out.theta.values == 0.0)
-        assert out.t == pytest.approx(cfg.dt)
+        cfg = cfg_for(grid128, t_end=0.05)
+        res = run_simulation(cfg, RealField(grid128, np.zeros(grid128.shape)))
+        assert len(res.diagnostics) == 2  # one step
+        t, theta = res.snapshots[-1]
+        assert t == pytest.approx(cfg.dt)
+        assert np.all(theta.values == 0.0)
 
     def test_linear_step_is_exact_semigroup(self, grid128, bump128):
-        cfg = cfg_for(grid128, nonlinear=False, dt=0.2)
-        st = SimulationState(0.0, bump128)
-        out = step_ifrk4(st, cfg)
+        cfg = cfg_for(grid128, nonlinear=False, dt=0.2, t_end=0.2)
+        res = run_simulation(cfg, bump128)
+        assert len(res.diagnostics) == 2  # one step
         want = apply_semigroup(bump128, 0.2, 1.5)
-        assert np.abs(out.theta.values - want.values).max() < 1e-12
+        assert np.abs(res.snapshot_at(0.2).values - want.values).max() < 1e-12
 
-    def test_cfl_violation_reports_limit(self, grid128):
+    def test_cfl_clamps_each_step(self, grid128):
+        # every step is held to cfl_safety dx / riesz_linf of the record before it
         big = gaussian_bump(grid128, amplitude=50.0, width=1.0, aspect=2.0)
-        cfg = cfg_for(grid128, dt=1.0)
-        with pytest.raises(CflViolationError) as ei:
-            step_ifrk4(SimulationState(0.0, big), cfg)
-        assert 0 < ei.value.dt_max < 1.0
+        cfg = cfg_for(grid128, dt=1.0, t_end=0.05)
+        recs = run_simulation(cfg, big).diagnostics
+        limits = np.array([cfg.cfl_safety * grid128.dx / r.riesz_linf for r in recs[:-1]])
+        dts = np.diff([r.time for r in recs])
+        assert np.all(dts <= limits * (1 + 1e-9))
+        # all but the step that lands on t_end are CFL-limited, not dt-limited
+        assert len(dts) > 2
+        assert np.allclose(dts[:-1], limits[:-1], rtol=1e-9)
+        assert np.all(dts < cfg.dt)
 
     def test_dt_refinement_fourth_order(self, grid128, bump128):
         # Richardson: error against a fine reference shrinks ~ dt^4
@@ -583,12 +593,12 @@ class TestDecayEnvelope:
 
 class TestGuards:
     def test_blow_up_guard(self, grid128):
-        # overflow in the quadratic term surfaces as a blow-up error once the
-        # CFL precondition is met with an explicit tiny step
+        # overflow in the quadratic term surfaces as a blow-up error after the
+        # one step, far below the CFL limit, that reaches t_end
         huge = gaussian_bump(grid128, amplitude=1e200, width=1.0, aspect=2.0)
-        cfg = cfg_for(grid128, dt=1e-300)
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError):
-            step_ifrk4(SimulationState(0.0, huge), cfg, dt=1e-300)
+        cfg = cfg_for(grid128, dt=1e-300, t_end=1e-300)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="t=1e-300"):
+            run_simulation(cfg, huge)
 
     def test_picard_divergence_detected(self, grid128):
         # far outside the contraction regime the iterates must not be

@@ -126,8 +126,14 @@ class TestLimitScan:
         import sqglab.verify as V
 
         applied = []
-        semigroup = V.apply_semigroup
-        monkeypatch.setattr(V, "apply_semigroup", lambda f, t, a: applied.append(t) or semigroup(f, t, a))
+        orbit = V.semigroup_orbit
+
+        def recorded(f, times, alpha):
+            for t, pt in zip(times, orbit(f, times, alpha)):
+                applied.append(t)
+                yield pt
+
+        monkeypatch.setattr(V, "semigroup_orbit", recorded)
         t_star = nonlinear_run.snapshots[3][0]
         limit_scan(nonlinear_run, X_TO_INF, window_radius=5.0, t_min=t_star, t_max=t_star)
         limit_scan(nonlinear_run, T_TO_0, window_radius=5.0, t_max=t_star)

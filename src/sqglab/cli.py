@@ -126,21 +126,18 @@ def _cmd_verify(args) -> int:
 def _cmd_special(args) -> int:
     if args.what == "beta":
         print(repr(_special.beta(args.a, args.b)))
-        return 0
-    if args.what == "conv":
+    elif args.what == "conv":
         val = _special.singular_time_convolution(args.a, args.b, args.t)
         closed = args.t ** (1 - args.a - args.b) * _special.beta(1 - args.b, 1 - args.a)
         print(f"quadrature={val!r} closed_form={closed!r} rel_err={abs(val-closed)/closed:.3e}")
-        return 0
-    if args.what == "radial-integral":
+    elif args.what == "radial-integral":
         vs = np.linspace(0.01, 0.99, args.n_points).tolist()
         rows = [(v, *_special.radial_singular_integral(args.alpha, args.beta_param, v)) for v in vs]
         if args.out:
             write_csv(args.out, ("v", "integral", "ratio"), rows)
         ratios = [r for _, _, r in rows]
         print(f"ratio range over v-sweep: [{min(ratios):.6g}, {max(ratios):.6g}]")
-        return 0
-    if args.what == "tgamma":
+    else:  # tgamma, the last subcommand argparse allows
         us = np.linspace(0.01, 0.99, args.n_points)
         ds = [_special.tgamma_inner_ratio(args.gamma, args.alpha, float(u)) for u in us]
         c2 = max(ds)
@@ -148,8 +145,7 @@ def _cmd_special(args) -> int:
         print(f"first-level constant (Beta bound): {b:.6g}")
         print(f"two-level contraction constant c_gamma: {c2:.6g}")
         print(f"admissible drift threshold 1/c_gamma: {1.0 / c2:.6g}")
-        return 0
-    raise ConfigError(f"unknown special subcommand {args.what!r}")
+    return 0
 
 
 def _cmd_fit(args) -> int:
@@ -164,6 +160,16 @@ def _cmd_fit(args) -> int:
     return 0 if fit.passed else CHECK_FAILURE
 
 
+def _positive(convert):
+    """An argparse ``type``: ``convert`` of the text, refused unless finite and positive."""
+    def number(text: str):  # argparse names it in "invalid number value: ..."
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sqglab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -171,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="build a stable-kernel profile and estimate sweep")
     k.add_argument("--alpha", type=float, required=True)
     k.add_argument("--out", default="kernel_output")
-    k.add_argument("--tol", type=float, default=1e-6)
-    k.add_argument("--t-min", type=float, default=1e-2)
-    k.add_argument("--t-max", type=float, default=1e2)
-    k.add_argument("--x-max", type=float, default=50.0)
+    k.add_argument("--tol", type=_positive(float), default=1e-6)
+    k.add_argument("--t-min", type=_positive(float), default=1e-2)
+    k.add_argument("--t-max", type=_positive(float), default=1e2)
+    k.add_argument("--x-max", type=_positive(float), default=50.0)
     k.set_defaults(func=_cmd_kernel)
 
     s = sub.add_parser("simulate", help="run a configured simulation")
@@ -190,21 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("special", help="special-function studies")
     spsub = sp.add_subparsers(dest="what", required=True)
     b = spsub.add_parser("beta")
-    b.add_argument("a", type=float)
-    b.add_argument("b", type=float)
+    b.add_argument("a", type=_positive(float))
+    b.add_argument("b", type=_positive(float))
     c = spsub.add_parser("conv")
     c.add_argument("--a", type=float, required=True)
     c.add_argument("--b", type=float, required=True)
-    c.add_argument("--t", type=float, default=1.0)
+    c.add_argument("--t", type=_positive(float), default=1.0)
     lt = spsub.add_parser("radial-integral")
     lt.add_argument("--alpha", type=float, required=True)
-    lt.add_argument("--beta-param", type=float, required=True)
-    lt.add_argument("--n-points", type=int, default=50)
+    lt.add_argument("--beta-param", type=_positive(float), required=True)
+    lt.add_argument("--n-points", type=_positive(int), default=50)
     lt.add_argument("--out", default=None)
     tg = spsub.add_parser("tgamma")
     tg.add_argument("--gamma", type=float, required=True)
     tg.add_argument("--alpha", type=float, required=True)
-    tg.add_argument("--n-points", type=int, default=50)
+    tg.add_argument("--n-points", type=_positive(int), default=50)
     sp.set_defaults(func=_cmd_special)
 
     f = sub.add_parser("fit", help="decay-exponent fit on a diagnostics series")
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--t-lo", type=float, default=-math.inf)
     f.add_argument("--t-hi", type=float, default=math.inf)
     f.add_argument("--expected", type=float, default=None)
-    f.add_argument("--tolerance", type=float, default=0.05)
+    f.add_argument("--tolerance", type=_positive(float), default=0.05)
     f.set_defaults(func=_cmd_fit)
     return p
 
@@ -221,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "kernel" and not args.t_min < args.t_max:
+        parser.error(f"--t-min {args.t_min} must lie below --t-max {args.t_max}")
+    if getattr(args, "what", None) == "tgamma" and not (1 < args.alpha < 2 and 0 < args.gamma < 1 / args.alpha):
+        parser.error(f"--alpha must lie in (1, 2) and --gamma in (0, 1/alpha), got {args.alpha} and {args.gamma}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError, OSError, PicardDivergenceError,

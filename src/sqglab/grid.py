@@ -9,12 +9,12 @@ Odd-order multipliers zero the Nyquist entries (kx = -n/2, ky = n/2) so that
 derivatives of real fields stay real.  ``_Spectra`` is the only place that
 knows this layout.  Fields are immutable; every operation returns a new field.
 
-Of the ``_Spectra`` transforms, ``forward`` and ``inverse`` return fresh
-arrays and leave their argument as it is.  ``inverse_into`` and
-``forward_into`` write into buffers the caller owns and passes in: the
-inverse runs its kx pass in place in the half plane it is given (a scratch
-buffer, never a field's coefficients) and writes the field into ``out``; the
-forward writes the half plane into ``out``.
+The package's only FFT calls are the two-pass pair of ``_Spectra``: an rfft
+along ky, then an fft along kx on the leading ``cols`` columns, and the
+reverse.  ``forward_into`` writes the half plane into a buffer ``out`` the
+caller passes in; ``inverse_into`` runs its kx pass in place in the half plane
+it is given (a scratch buffer) and writes the field into ``out``.  ``forward``
+and ``inverse`` are the full-width case on fresh arrays (and on a copy).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class _Spectra:
     def __init__(self, grid: GridSpec):
         n, dx = grid.n, grid.dx
         self.shape = grid.shape
-        kx = 2 * np.pi * _fft.fftfreq(n, d=dx)
-        ky = 2 * np.pi * _fft.rfftfreq(n, d=dx)
+        kx = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+        ky = 2 * np.pi * np.fft.rfftfreq(n, d=dx)
         self.kx, self.ky = kx[:, None], ky[None, :]
         kx_odd, ky_odd = kx.copy(), ky.copy()
         kx_odd[n // 2] = 0.0
@@ -90,16 +89,16 @@ class _Spectra:
         return cls._cache[key]
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return _fft.rfft2(values)
+        return self.forward_into(values, self.half_cols, np.empty(self.kmod.shape, dtype=complex))
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return _fft.irfft2(coeffs, s=self.shape)
+        return self.inverse_into(np.array(coeffs, dtype=complex), self.half_cols, np.empty(self.shape))
 
     def inverse_into(self, half: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
         """
-        ``inverse`` of the full-width half plane ``half``, whose columns
-        beyond the leading ``cols`` must vanish, written into ``out``.  The kx
-        pass runs in place on those columns, so ``half`` is consumed.
+        The inverse of the full-width half plane ``half``, whose columns beyond
+        the leading ``cols`` must vanish, written into ``out``.  The kx pass
+        runs in place on those columns, so ``half`` is consumed.
         """
         block = half[:, :cols]
         np.fft.ifft(block, axis=0, out=block)
@@ -107,9 +106,9 @@ class _Spectra:
 
     def forward_into(self, values: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
         """
-        ``forward`` of ``values`` into the full-width ``out``, exact on the
-        leading ``cols`` columns.  The others are transformed along ky only,
-        so they are valid only under a multiplier that vanishes there.
+        The forward transform of ``values`` into the full-width ``out``, exact
+        on the leading ``cols`` columns.  The others are transformed along ky
+        only, so they are valid only under a multiplier that vanishes there.
         """
         np.fft.rfft(values, axis=1, out=out)
         block = out[:, :cols]
@@ -219,8 +218,8 @@ def semigroup_orbit(f: RealField, times: Iterable[float], alpha: float) -> Itera
     """
     times = list(times)
     for t in times:
-        if t < 0:
-            raise ValueError(f"semigroup time must be nonnegative, got {t}")
+        if not 0 <= t < np.inf:
+            raise ValueError(f"semigroup time must be nonnegative and finite, got {t}")
     if not 1.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must lie in [1, 2], got {alpha}")
     return _orbit(f, times, alpha)

@@ -710,6 +710,33 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
 
+@pytest.mark.parametrize("args, option", [
+    (("kernel", "--alpha", 1.5, "--t-min", "nan"), "--t-min"),
+    (("kernel", "--alpha", 1.5, "--t-min", 0), "--t-min"),
+    (("kernel", "--alpha", 1.5, "--t-max", "inf"), "--t-max"),
+    (("kernel", "--alpha", 1.5, "--t-min", 5, "--t-max", 2), "--t-max"),
+    (("kernel", "--alpha", 1.5, "--x-max", -1), "--x-max"),
+    (("kernel", "--alpha", 1.5, "--tol", 0), "--tol"),
+    (("special", "radial-integral", "--alpha", 1.5, "--beta-param", 1.0, "--n-points", 0), "--n-points"),
+    (("special", "radial-integral", "--alpha", 1.5, "--beta-param", "nan"), "--beta-param"),
+    (("special", "conv", "--a", 0.5, "--b", 0.5, "--t", "inf"), "--t"),
+    (("special", "beta", "nan", 1.0), "argument a"),
+    (("fit", "--run", "run", "--tolerance", -0.1), "--tolerance"),
+    (("special", "tgamma", "--gamma", 0.3, "--alpha", 1.5, "--n-points", "1e3"), "--n-points"),
+    (("special", "tgamma", "--gamma", 0.9, "--alpha", 1.5), "--gamma"),
+    (("special", "tgamma", "--gamma", 0.3, "--alpha", 0), "--alpha"),
+])
+def test_bad_option_is_named_exit_two(tmp_path, capsys, monkeypatch, args, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*args)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestSpecialCli:
     def test_beta(self, capsys):
         assert run_cli("special", "beta", 0.5, 0.5) == 0

@@ -193,6 +193,15 @@ class TestSemigroupOrbit:
             semigroup_orbit(f, times, alpha)
         assert calls == []
 
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_non_finite_or_negative_time_raises_before_any_field(self, grid_small, t, monkeypatch):
+        f = make_random_field(grid_small, 6)
+        calls = []
+        monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1))
+        with pytest.raises(ValueError, match=f"got {t}"):
+            semigroup_orbit(f, (0.1, t), 1.5)
+        assert calls == []
+
     @pytest.mark.parametrize("norm", ["linf", "riesz", "riesz_grad"])
     def test_ladder_tie_phase_unchanged(self, norm, monkeypatch):
         def per_time(f, times, alpha):
@@ -304,27 +313,37 @@ class TestBandTransforms:
         assert sp.dealias_mask[0, sp.band_cols - 1]
         assert not sp.dealias_mask[:, sp.band_cols:].any()
 
-    # bit for bit where 1/n is a power of two; else the inverse scales by 1/n
-    # twice instead of by 1/n^2 once
-    @pytest.mark.parametrize("n, exact", [(32, True), (64, True), (256, True), (48, False), (96, False)])
+    @pytest.mark.parametrize("transform", ["inverse", "forward"])
+    @pytest.mark.parametrize("n", [32, 48, 64, 96, 256])
     @pytest.mark.parametrize("band", [True, False])
-    def test_match_full_transforms_on_the_band_columns(self, n, exact, band):
+    def test_match_full_transforms_on_the_band_columns(self, n, band, transform):
         sp = _Spectra.of(GridSpec(n, 20.0))
         cols = sp.band_cols if band else sp.half_cols
         # band-limited white noise: every mode of the leading cols columns
         coeffs = sp.forward(np.random.default_rng(n).standard_normal(sp.shape))
         coeffs[:, cols:] = 0.0
         values = sp.inverse(coeffs)
-        phys, half = np.empty(sp.shape), np.empty_like(coeffs)
-        pairs = [
-            (sp.inverse_into(coeffs.copy(), cols, phys), values),
-            (sp.forward_into(values, cols, half)[:, :cols], sp.forward(values)[:, :cols]),
-        ]
-        for got, want in pairs:
-            if exact:
-                assert np.array_equal(got, want)
-            else:
-                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        if transform == "inverse":
+            got, want = sp.inverse_into(coeffs.copy(), cols, np.empty(sp.shape)), values
+        else:
+            got = sp.forward_into(values, cols, np.empty_like(coeffs))[:, :cols]
+            want = sp.forward(values)[:, :cols]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [16, 48, 64, 130, 384])
+    def test_full_transforms_match_scipy(self, n):
+        # an oracle outside the pair: scipy's two-dimensional real transforms
+        from scipy import fft
+
+        sp = _Spectra.of(GridSpec(n, 20.0))
+        values = np.random.default_rng(n).standard_normal(sp.shape)
+        coeffs = fft.rfft2(values)
+        assert np.array_equal(sp.forward(values), coeffs)
+        got, want = sp.inverse(coeffs), fft.irfft2(coeffs, s=sp.shape)
+        if n & (n - 1) == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_write_into_the_caller_buffers(self):
         sp = _Spectra.of(GridSpec(32, 20.0))

@@ -9,16 +9,12 @@ from .grid import (
     GridSpec,
     MultiIndex,
     RealField,
-    SpectralField,
     apply_derivative,
     apply_fractional_laplacian,
     apply_riesz,
     apply_riesz_perp,
     apply_semigroup,
-    dealias,
     lp_norm,
-    transform_forward,
-    transform_inverse,
 )
 from .kernel import (
     KernelDerivativeProfile,

@@ -7,7 +7,8 @@ configured evolution and persist snapshots plus diagnostics), ``verify``
 (special-function and singular-integral studies), ``fit`` (decay-exponent
 fits on a diagnostics series).  Exit codes: 0 success, 1 check failure,
 2 usage or configuration error, or a run the solver or the kernel quadrature
-cannot complete, 3 internal error (any other exception, reported on stderr).
+cannot complete, or a result beyond the float range, 3 internal error (any
+other exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -160,14 +161,24 @@ def _cmd_fit(args) -> int:
     return 0 if fit.passed else CHECK_FAILURE
 
 
-def _positive(convert):
-    """An argparse ``type``: ``convert`` of the text, refused unless finite and positive."""
+def _number(convert, rule: str = "finite", ok=lambda v: True):
+    """An argparse ``type``: ``convert`` of the text, refused unless finite and
+    ``ok``; ``rule`` words both, as a ``runconfig._RANGES`` entry does."""
     def number(text: str):  # argparse names it in "invalid number value: ..."
         value = convert(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
     return number
+
+
+def _positive(convert):
+    return _number(convert, "finite and positive", lambda v: v > 0)
+
+
+_NONNEGATIVE = _number(float, "finite and >= 0", lambda v: v >= 0)
+_EXPONENT = _number(float, "in [0, 1)", lambda v: 0 <= v < 1)
+_ALPHA_OPEN = _number(float, "in (1, 2)", lambda v: 1 < v < 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="build a stable-kernel profile and estimate sweep")
-    k.add_argument("--alpha", type=float, required=True)
+    k.add_argument("--alpha", type=_number(float, "in [1, 2]", lambda v: 1 <= v <= 2), required=True)
     k.add_argument("--out", default="kernel_output")
     k.add_argument("--tol", type=_positive(float), default=1e-6)
     k.add_argument("--t-min", type=_positive(float), default=1e-2)
@@ -199,26 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("a", type=_positive(float))
     b.add_argument("b", type=_positive(float))
     c = spsub.add_parser("conv")
-    c.add_argument("--a", type=float, required=True)
-    c.add_argument("--b", type=float, required=True)
+    c.add_argument("--a", type=_EXPONENT, required=True)
+    c.add_argument("--b", type=_EXPONENT, required=True)
     c.add_argument("--t", type=_positive(float), default=1.0)
     lt = spsub.add_parser("radial-integral")
-    lt.add_argument("--alpha", type=float, required=True)
+    lt.add_argument("--alpha", type=_ALPHA_OPEN, required=True)
     lt.add_argument("--beta-param", type=_positive(float), required=True)
     lt.add_argument("--n-points", type=_positive(int), default=50)
     lt.add_argument("--out", default=None)
     tg = spsub.add_parser("tgamma")
-    tg.add_argument("--gamma", type=float, required=True)
-    tg.add_argument("--alpha", type=float, required=True)
+    tg.add_argument("--gamma", type=_positive(float), required=True)
+    tg.add_argument("--alpha", type=_ALPHA_OPEN, required=True)
     tg.add_argument("--n-points", type=_positive(int), default=50)
     sp.set_defaults(func=_cmd_special)
 
     f = sub.add_parser("fit", help="decay-exponent fit on a diagnostics series")
     f.add_argument("--run", required=True)
     f.add_argument("--quantity", default="linf", choices=DECAY_QUANTITIES)
-    f.add_argument("--t-lo", type=float, default=-math.inf)
-    f.add_argument("--t-hi", type=float, default=math.inf)
-    f.add_argument("--expected", type=float, default=None)
+    f.add_argument("--t-lo", type=_NONNEGATIVE, default=-math.inf)
+    f.add_argument("--t-hi", type=_NONNEGATIVE, default=math.inf)
+    f.add_argument("--expected", type=_number(float), default=None)
     f.add_argument("--tolerance", type=_positive(float), default=0.05)
     f.set_defaults(func=_cmd_fit)
     return p
@@ -229,11 +240,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "kernel" and not args.t_min < args.t_max:
         parser.error(f"--t-min {args.t_min} must lie below --t-max {args.t_max}")
-    if getattr(args, "what", None) == "tgamma" and not (1 < args.alpha < 2 and 0 < args.gamma < 1 / args.alpha):
-        parser.error(f"--alpha must lie in (1, 2) and --gamma in (0, 1/alpha), got {args.alpha} and {args.gamma}")
+    if getattr(args, "what", None) == "tgamma" and not args.gamma < 1 / args.alpha:
+        parser.error(f"--gamma {args.gamma} must lie below 1/alpha = {1 / args.alpha:.6g}")
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, OSError, PicardDivergenceError,
+    except (ConfigError, FileNotFoundError, ValueError, OSError, OverflowError, PicardDivergenceError,
             BlowUpError, _kernel.QuadratureConvergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR

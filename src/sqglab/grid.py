@@ -7,7 +7,10 @@ half plane of shape (n, n//2+1): kx = 2*pi/L * {0, ..., n/2-1, -n/2, ..., -1}
 and ky = 2*pi/L * {0, ..., n/2}; the negative-ky half is the complex conjugate.
 Odd-order multipliers zero the Nyquist entries (kx = -n/2, ky = n/2) so that
 derivatives of real fields stay real.  ``_Spectra`` is the only place that
-knows this layout.  Fields are immutable; every operation returns a new field.
+knows this layout: its wavenumbers, masks and column counts.  A field has one
+public form, ``RealField``; half-plane arrays live only inside the operators
+below and ``solver._Stepper``, and no public function takes or returns one.
+Fields are immutable; every operation returns a new field.
 
 The package's only FFT calls are the two-pass pair of ``_Spectra``: an rfft
 along ky, then an fft along kx on the leading ``cols`` columns, and the
@@ -148,21 +151,6 @@ class RealField:
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """Real field in Fourier representation: rfft2 half plane, shape (n, n//2+1), ky = 0 ... n/2."""
-
-    grid: GridSpec
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=complex)
-        shape = (self.grid.n, self.grid.n // 2 + 1)
-        if c.shape != shape:
-            raise ValueError(f"coefficient shape {c.shape} does not match half plane {shape}")
-        object.__setattr__(self, "coefficients", _freeze(c))
-
-
-@dataclass(frozen=True)
 class MultiIndex:
     """Differentiation multi-index (k1, k2) with total order k1 + k2 <= 4."""
 
@@ -178,18 +166,6 @@ class MultiIndex:
     @property
     def order(self) -> int:
         return self.k1 + self.k2
-
-
-def transform_forward(f: RealField) -> SpectralField:
-    """Real FFT of a real field onto the half plane. Rejects non-finite input."""
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("field contains non-finite values")
-    return SpectralField(f.grid, _Spectra.of(f.grid).forward(f.values))
-
-
-def transform_inverse(F: SpectralField) -> RealField:
-    """Inverse real FFT of half-plane coefficients."""
-    return RealField(F.grid, _Spectra.of(F.grid).inverse(F.coefficients))
 
 
 def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
@@ -259,12 +235,6 @@ def apply_derivative(f: RealField, kappa: MultiIndex) -> RealField:
     return _apply_multiplier(f, mult)
 
 
-def dealias(F: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero all modes with max(|xi_1|,|xi_2|) above floor(n/3)*2*pi/L."""
-    sp = _Spectra.of(F.grid)
-    return SpectralField(F.grid, np.where(sp.dealias_mask, F.coefficients, 0.0))
-
-
 def lp_norm(f: RealField, p: float) -> float:
     """Grid L^p norm with cell measure dx^2; sup norm for p = inf."""
     return _lp_norm(f.values, p, f.grid.dx, np.empty(f.grid.shape))
@@ -280,14 +250,3 @@ def _lp_norm(values: np.ndarray, p: float, dx: float, scratch: np.ndarray) -> fl
     a **= p
     return float((np.sum(a) * dx**2) ** (1.0 / p))
 
-
-def spectral_l2_norm(F: SpectralField) -> float:
-    """L^2 norm from half-plane coefficients (Parseval): interior ky columns count twice."""
-    g = F.grid
-    c2 = np.abs(F.coefficients) ** 2
-    total = 2.0 * c2.sum() - c2[:, 0].sum() - c2[:, -1].sum()
-    return float(np.sqrt(total * g.dx**2 / g.n**2))
-
-
-def mean_value(f: RealField) -> float:
-    return float(f.values.mean())

@@ -7,7 +7,7 @@ declared once below and goes through ``_write_binary``/``_read_binary``; a
 file must be exactly as long as its header says.
 
     ``*.sqgf`` snapshot: "SQGF", 1, ``u32`` n, ``f64`` box length, time t and
-        alpha (finite, t >= 0); then n*n samples, row-major.
+        alpha (finite, t >= 0); then n*n finite samples, row-major.
     ``*.sqgk`` kernel profile: "SQGK", 1, ``f64`` alpha and r_max, ``u32`` count;
         then count radii and count values (checked by ``kernel.KernelProfile``).
 
@@ -33,7 +33,6 @@ from .solver import DiagnosticRecord, SimulationResult
 from .verify import VerdictRow
 
 __all__ = [
-    "SNAPSHOT_MAGIC",
     "write_csv",
     "write_snapshot",
     "read_snapshot",
@@ -50,7 +49,6 @@ __all__ = [
 BinaryFormat = namedtuple("BinaryFormat", "kind magic version header arrays")
 SNAPSHOT_FORMAT = BinaryFormat("snapshot", b"SQGF", 1, "<Iddd", lambda h: (h[0] * h[0],))
 PROFILE_FORMAT = BinaryFormat("kernel profile", b"SQGK", 1, "<ddI", lambda h: (h[2], h[2]))
-SNAPSHOT_MAGIC = SNAPSHOT_FORMAT.magic
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticRecord))
 
 
@@ -104,6 +102,8 @@ def _snapshot(header, data) -> tuple[RealField, float, float]:
     n, L, t, alpha = header
     if not (math.isfinite(t) and t >= 0 and math.isfinite(alpha)):
         raise ValueError(f"snapshot time {t} and alpha {alpha} must be finite, with t >= 0")
+    if not np.isfinite(data).all():
+        raise ValueError("snapshot samples must be finite")
     return RealField(GridSpec(n, L), data.reshape(n, n).copy()), t, alpha
 
 

@@ -415,11 +415,9 @@ class KernelDerivativeProfile:
     def alpha(self) -> float:
         return self.profile.alpha
 
-    def eval_unit_time(self, x: np.ndarray, kappa: MultiIndex | None = None) -> np.ndarray:
+    def eval_unit_time(self, x: np.ndarray) -> np.ndarray:
         """grad^kappa p(1, x) for points x of shape (..., 2)."""
-        kappa = kappa or self.kappa
-        if kappa.order == 0:
-            raise ValueError("use KernelProfile for the underived kernel")
+        kappa = self.kappa
         x = np.atleast_2d(np.asarray(x, dtype=float))
         x1, x2 = x[..., 0], x[..., 1]
         _, a, b = self.profile.radial(np.hypot(x1, x2))

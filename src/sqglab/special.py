@@ -183,18 +183,17 @@ def product_weights(nodes: np.ndarray, t: float, a: float, b: float) -> np.ndarr
 @dataclass(frozen=True)
 class TimeGrid:
     """
-    Graded quadrature grid on (0, t_end] for integrands with the weight
-    (t-s)^(-a) s^(-b), a, b in [0, 1).  Nodes are graded toward both
-    endpoints; weights form a product rule exact on constants.
+    Graded quadrature nodes on (0, t_end] for integrands with the weight
+    (t-s)^(-a) s^(-b), a, b in [0, 1): quadratic grading toward both
+    endpoints.  ``product_weights(nodes, t_end, a, b)`` gives their product
+    rule, exact on constants.
     """
 
     t_end: float
     a: float
     b: float
     m: int = 64
-    grading: float = 2.0
     nodes: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.a < 1 and 0 <= self.b < 1):
@@ -202,16 +201,8 @@ class TimeGrid:
         if self.t_end <= 0 or self.m < 2:
             raise ValueError("need t_end > 0 and at least two nodes")
         u = (np.arange(self.m) + 1.0) / (self.m + 1.0)
-        q = self.grading
-        g = u**q / (u**q + (1.0 - u) ** q)  # symmetric grading toward both ends
-        nodes = self.t_end * g
-        object.__setattr__(self, "nodes", _freeze(nodes))
-        weights = product_weights(nodes, self.t_end, self.a, self.b)
-        object.__setattr__(self, "weights", _freeze(weights))
-
-    def weight_sum_exact(self) -> float:
-        """Closed form of int_0^t (t-s)^(-a) s^(-b) ds."""
-        return self.t_end ** (1.0 - self.a - self.b) * beta(1.0 - self.b, 1.0 - self.a)
+        g = u**2.0 / (u**2.0 + (1.0 - u) ** 2.0)  # symmetric grading toward both ends
+        object.__setattr__(self, "nodes", _freeze(self.t_end * g))
 
 
 def apply_T_gamma(

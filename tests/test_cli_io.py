@@ -309,6 +309,15 @@ class TestSnapshotIO:
         with pytest.raises(ValueError, match="s.sqgf: snapshot time .* must be finite, with t >= 0"):
             read_snapshot(p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_samples_are_checked(self, tmp_path, bad):
+        values = np.ones((16, 16))
+        values[5, 9] = bad
+        p = tmp_path / "s.sqgf"
+        write_snapshot(p, RealField(GridSpec(16, 5.0), values), t=0.2, alpha=1.5)
+        with pytest.raises(ValueError, match="s.sqgf: snapshot samples must be finite"):
+            read_snapshot(p)
+
 
 class TestByteLayout:
     """Both binary files, packed by hand from the README layout: the writers
@@ -725,6 +734,16 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     (("special", "tgamma", "--gamma", 0.3, "--alpha", 1.5, "--n-points", "1e3"), "--n-points"),
     (("special", "tgamma", "--gamma", 0.9, "--alpha", 1.5), "--gamma"),
     (("special", "tgamma", "--gamma", 0.3, "--alpha", 0), "--alpha"),
+    (("kernel", "--alpha", "nan"), "--alpha"),
+    (("kernel", "--alpha", 3), "--alpha"),
+    (("special", "conv", "--a", "nan", "--b", 0.5), "--a"),
+    (("special", "conv", "--a", 1.5, "--b", 0.5), "--a"),
+    (("special", "conv", "--a", 0.5, "--b", 1), "--b"),
+    (("special", "radial-integral", "--alpha", 2.5, "--beta-param", 1.0), "--alpha"),
+    (("special", "radial-integral", "--alpha", "nan", "--beta-param", 1.0), "--alpha"),
+    (("fit", "--run", "run", "--t-lo", "nan"), "--t-lo"),
+    (("fit", "--run", "run", "--t-hi", "inf"), "--t-hi"),
+    (("fit", "--run", "run", "--expected", "nan"), "--expected"),
 ])
 def test_bad_option_is_named_exit_two(tmp_path, capsys, monkeypatch, args, option):
     monkeypatch.chdir(tmp_path)
@@ -735,6 +754,70 @@ def test_bad_option_is_named_exit_two(tmp_path, capsys, monkeypatch, args, optio
     assert option in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+# option text: any float (nan and inf too), small counts, and text that is no number
+_OPTION_TEXT = st.one_of(st.floats().map(repr), st.integers(-2, 4).map(str), st.sampled_from(["1e999", "x", ""]))
+_ANY_POSITIVE = st.floats(0.0, exclude_min=True)
+_OPEN_ALPHA = st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)
+
+
+def _option(valid):
+    """The text of one option: half the time a value of its own range, else ``_OPTION_TEXT``."""
+    return st.one_of(valid.map(str), _OPTION_TEXT)
+
+
+def _argv(what, **valid):
+    """``special what`` argv, each named option drawn by ``_option``."""
+    pairs = [st.tuples(st.just("--" + n.replace("_", "-")), _option(v)) for n, v in valid.items()]
+    return st.tuples(*pairs).map(lambda drawn: [what, *(w for pair in drawn for w in pair)])
+
+
+_EXPONENT = st.floats(0.0, 1.0, exclude_max=True)
+_SPECIAL_ARGV = st.one_of(  # every numeric option of ``special``, counts kept small
+    st.tuples(_option(_ANY_POSITIVE), _option(_ANY_POSITIVE)).map(lambda ab: ["beta", *ab]),
+    _argv("conv", a=_EXPONENT, b=_EXPONENT, t=_ANY_POSITIVE),
+    _argv("radial-integral", alpha=_OPEN_ALPHA, beta_param=_ANY_POSITIVE, n_points=st.integers(1, 4)),
+    _argv("tgamma", gamma=st.floats(0.0, 1.0, exclude_min=True), alpha=_OPEN_ALPHA, n_points=st.integers(1, 4)),
+)
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = run_cli(*argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, err.getvalue()
+
+
+class TestNumericOptionProperties:
+    """Whatever a numeric option of the fast verbs holds, the exit is 0, 1 or 2
+    with a message, never an internal error or a traceback."""
+
+    @pytest.fixture(scope="class")
+    def fit_run(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fitprop")
+        cfg = d / "run.cfg"
+        text = BASE_CONFIG.format(out=d / "run").replace("n = 64", "n = 16").replace("t_end = 0.3", "t_end = 2.0")
+        cfg.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times = 2.0"))
+        assert run_cli("simulate", "--config", cfg) == 0
+        return d / "run"
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_SPECIAL_ARGV)
+    def test_special(self, argv):
+        rc, err = _exit_and_stderr(["special", *argv])
+        assert rc in (0, 1, 2), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(options=st.dictionaries(st.sampled_from(["--t-lo", "--t-hi", "--expected", "--tolerance"]), _OPTION_TEXT))
+    def test_fit(self, fit_run, options):
+        rc, err = _exit_and_stderr(["fit", "--run", fit_run, *[w for kv in options.items() for w in kv]])
+        assert rc in (0, 1, 2), err
+        assert "Traceback" not in err
 
 
 class TestSpecialCli:
@@ -859,6 +942,14 @@ class TestRunDirectoryFaults:
         capsys.readouterr()
         assert run_cli("verify", "--run", tmp_path / "run", "--checks", "max_principle") == 2
         assert snaps[-1].name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [("verify", "--checks", "max_principle"), ("fit",)])
+    def test_non_finite_sample_names_the_snapshot(self, tmp_path, capsys, verb):
+        snaps = small_run(tmp_path, tmp_path / "run")
+        rewrite_last_snapshot(snaps, centre=math.nan)
+        capsys.readouterr()
+        assert run_cli(verb[0], "--run", tmp_path / "run", *verb[1:]) == 2
+        assert f"{snaps[-1].name}: snapshot samples must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("centre", [0.0, -1e-3])
     def test_above_critical_nonpositive_window_inf_fails(self, tmp_path, centre):
@@ -1004,6 +1095,21 @@ class TestFromFileInitialData:
         cfgfile.write_text(text)
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "seed.sqgf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_seed_is_usage_error(self, tmp_path, capsys, bad):
+        g = GridSpec(64, 20.0)
+        values = np.ones(g.shape)
+        values[7, 11] = bad
+        seed_file = tmp_path / "seed.sqgf"
+        write_snapshot(seed_file, RealField(g, values), t=0.0, alpha=1.5)
+        cfgfile = tmp_path / "ff.cfg"
+        text = BASE_CONFIG.format(out=tmp_path / "ff").replace(
+            "kind = gaussian", f"kind = from_file\npath = {seed_file}"
+        )
+        cfgfile.write_text(text)
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert "seed.sqgf: snapshot samples must be finite" in capsys.readouterr().err
 
 
 def test_kernel_cli_gaussian_endpoint_value(tmp_path):

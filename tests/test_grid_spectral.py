@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +16,10 @@ from sqglab.grid import (
     apply_riesz,
     apply_riesz_perp,
     apply_semigroup,
-    dealias,
     lp_norm,
-    mean_value,
     semigroup_orbit,
-    spectral_l2_norm,
-    transform_forward,
-    transform_inverse,
 )
+import sqglab
 import sqglab.initial_data as initial_data
 from sqglab.initial_data import random_band_limited
 
@@ -52,52 +52,6 @@ class TestGridSpec:
         base = 2 * np.pi / 4.0
         assert kx.min() == pytest.approx(-8 * base)
         assert kx.max() == pytest.approx(7 * base)
-
-
-class TestTransforms:
-    def test_constant_is_dc(self, grid_2pi):
-        F = transform_forward(RealField(grid_2pi, np.ones(grid_2pi.shape)))
-        c = F.coefficients.copy()
-        assert c[0, 0] == pytest.approx(grid_2pi.n**2)
-        c[0, 0] = 0
-        assert np.abs(c).max() < 1e-10
-
-    def test_single_harmonic(self, grid_2pi):
-        F = transform_forward(sine_field(grid_2pi))
-        mags = np.abs(F.coefficients)
-        assert np.count_nonzero(mags > 1e-8) == 2
-        assert mags[1, 0] == pytest.approx(grid_2pi.n**2 / 2)
-        assert mags[-1, 0] == pytest.approx(grid_2pi.n**2 / 2)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_round_trip(self, seed):
-        g = GridSpec(32, 5.0)
-        f = random_band_limited(g, seed, kmax_frac=0.9)
-        back = transform_inverse(transform_forward(f))
-        scale = max(np.abs(f.values).max(), 1e-30)
-        assert np.abs(back.values - f.values).max() / scale < 1e-12
-
-    def test_rejects_non_finite(self, grid_2pi):
-        vals = np.zeros(grid_2pi.shape)
-        vals[3, 4] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            transform_forward(RealField(grid_2pi, vals))
-
-    @pytest.mark.parametrize("band", ["limited", "full"])
-    def test_parseval(self, grid_small, band):
-        if band == "limited":
-            f = make_random_field(grid_small, 3)
-        else:
-            # white noise carries energy in the Nyquist column, which the
-            # half-plane sum must count once, like the ky = 0 column
-            f = RealField(grid_small, np.random.default_rng(3).standard_normal(grid_small.shape))
-        F = transform_forward(f)
-        nyquist = np.abs(F.coefficients[:, -1]).max()
-        assert (nyquist > 1.0) if band == "full" else (nyquist < 1e-10)
-        a = lp_norm(f, 2)
-        b = spectral_l2_norm(F)
-        assert abs(a - b) / a < 1e-10
 
 
 class TestFractionalLaplacian:
@@ -147,7 +101,7 @@ class TestSemigroup:
     def test_mean_preserved(self, grid_small):
         f = make_random_field(grid_small, 5)
         out = apply_semigroup(f, 2.0, 1.3)
-        assert mean_value(out) == pytest.approx(mean_value(f), abs=1e-13)
+        assert out.values.mean() == pytest.approx(f.values.mean(), abs=1e-13)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, np.inf])
     def test_contraction(self, grid_small, p):
@@ -287,22 +241,26 @@ class TestDerivative:
 
 
 class TestDealias:
+    """The 2/3-rule mask ``_Stepper`` multiplies by, on the half plane of ``_Spectra.forward``."""
+
     def test_band_limited_unchanged(self, grid_small):
-        f = random_band_limited(grid_small, 3, kmax_frac=0.3)
-        F = transform_forward(f)
-        assert np.abs(dealias(F).coefficients - F.coefficients).max() < 1e-12
+        sp = _Spectra.of(grid_small)
+        F = sp.forward(random_band_limited(grid_small, 3, kmax_frac=0.3).values)
+        assert np.abs(np.where(sp.dealias_mask, F, 0.0) - F).max() < 1e-12
 
     def test_top_mode_zeroed(self):
         g = GridSpec(32, 2 * np.pi)
-        f = sine_field(g, k=12)
-        F = dealias(transform_forward(f))
-        assert np.abs(F.coefficients).max() < 1e-10
+        sp = _Spectra.of(g)
+        F = sp.forward(sine_field(g, k=12).values)
+        assert np.abs(F).max() > 1.0
+        assert np.abs(np.where(sp.dealias_mask, F, 0.0)).max() < 1e-10
 
-    def test_idempotent(self, grid_small):
-        F = transform_forward(make_random_field(grid_small, 19))
-        once = dealias(F)
-        twice = dealias(once)
-        assert np.array_equal(once.coefficients, twice.coefficients)
+    def test_cut_at_a_third_of_n(self):
+        # |k| <= floor(n/3) in grid units is kept, on both axes and nowhere else
+        g = GridSpec(48, 2 * np.pi)
+        sp = _Spectra.of(g)
+        kx, ky = np.rint(sp.kx).astype(int), np.rint(sp.ky).astype(int)
+        assert np.array_equal(sp.dealias_mask, (np.abs(kx) <= 16) & (ky <= 16))
 
 
 class TestBandTransforms:
@@ -392,3 +350,30 @@ def test_fields_are_immutable(grid_2pi):
     f = sine_field(grid_2pi)
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+
+
+def _spectral_nodes(tree):
+    """Nodes of ``tree`` that use numpy.fft or scipy.fft, or form the half-plane width n // 2 + 1."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, (ast.Attribute, ast.BinOp)):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        if any(re.match(r"(np|numpy|scipy)\.fft(\.|$)|.* // 2 \+ 1$", n) for n in names):
+            yield node
+
+
+def test_spectra_alone_owns_the_half_plane():
+    # the FFT calls and the rfft half-plane width appear in grid._Spectra and nowhere else in the package
+    owned, stray = [], []
+    for path in sorted(Path(sqglab.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            inside = path.name == "grid.py" and isinstance(stmt, ast.ClassDef) and stmt.name == "_Spectra"
+            found = [f"{path.name}:{node.lineno}" for node in _spectral_nodes(stmt)]
+            (owned if inside else stray).extend(found)
+    assert stray == []
+    assert owned  # the walk sees what _Spectra does own

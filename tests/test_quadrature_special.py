@@ -128,15 +128,22 @@ def test_cached_panel_rule_is_read_only():
     assert np.sum(weights * nodes**23) == pytest.approx(2.0**24 / 24, rel=1e-13)
 
 
+def grid_weights(tg):
+    """The product rule on a time grid's nodes, as ``apply_T_gamma`` forms it."""
+    return product_weights(tg.nodes, tg.t_end, tg.a, tg.b)
+
+
 class TestTimeGrid:
     @pytest.mark.parametrize("a,b", [(0.0, 0.0), (2 / 3, 0.0), (2 / 3, 0.55), (0.3, 0.9)])
     def test_exact_on_constants(self, a, b):
         tg = TimeGrid(2.0, a=a, b=b, m=48)
-        assert tg.weights.sum() == pytest.approx(tg.weight_sum_exact(), rel=1e-10)
+        # int_0^t (t-s)^(-a) s^(-b) ds = t^(1-a-b) B(1-b, 1-a)
+        exact = tg.t_end ** (1.0 - a - b) * beta(1.0 - b, 1.0 - a)
+        assert grid_weights(tg).sum() == pytest.approx(exact, rel=1e-10)
 
     def test_weights_positive_nodes_graded(self):
         tg = TimeGrid(1.0, a=0.5, b=0.3, m=32)
-        assert np.all(tg.weights > 0)
+        assert np.all(grid_weights(tg) > 0)
         gaps = np.diff(np.concatenate([[0.0], tg.nodes, [1.0]]))
         assert gaps[0] < gaps[len(gaps) // 2] and gaps[-1] < gaps[len(gaps) // 2]
 
@@ -147,7 +154,7 @@ class TestTimeGrid:
         errs = []
         for m in (64, 256):
             tg = TimeGrid(1.0, a=a, b=b, m=m)
-            got = float(np.sum(tg.weights * np.cos(tg.nodes)))
+            got = float(np.sum(grid_weights(tg) * np.cos(tg.nodes)))
             errs.append(abs(got - ref) / ref)
         assert errs[1] < 1e-5
         assert errs[1] < errs[0] / 8  # roughly second-order in the node count

@@ -34,8 +34,8 @@ from .io import (
     write_verdicts,
 )
 from .runconfig import ConfigError, RunConfig, _names, _validate, parse_config_file, serialize_config
-from .solver import (DECAY_QUANTITIES, BlowUpError, PicardDivergenceError, SimulationResult,
-                     _snapshot_targets, run_simulation)
+from .solver import (DECAY_QUANTITIES, SNAPSHOT_TIME_TOL, BlowUpError, PicardDivergenceError,
+                     SimulationResult, _snapshot_targets, run_simulation)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -63,9 +63,9 @@ def _cmd_kernel(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
     out = Path(args.out) if args.out else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     theta0 = cfg.build_theta0(base_dir=Path(args.config).parent)
     result = run_simulation(cfg.solver_config(), theta0)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.cfg").write_text(serialize_config(cfg))
     write_run(out, result)
     print(f"run complete: {len(result.snapshots)} snapshots, "
@@ -87,11 +87,11 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
     snaps = read_run_snapshots(run_dir)
     if snaps[0][0] != 0.0:
         raise ValueError(f"{run_dir}: no snapshot at t = 0 (the earliest is at t = {snaps[0][0]:.6g})")
-    # t = 0 and each solver target, within the tolerance of SimulationResult.snapshot_at;
-    # inf pads the shorter list (so the tolerance scales with the finite time of a pair)
+    # t = 0 and each solver target, within SNAPSHOT_TIME_TOL; inf pads the shorter
+    # list (so the tolerance scales with the finite time of a pair)
     wanted = [0.0] + _snapshot_targets(cfg.solver_config())
     for t, want in itertools.zip_longest([t for t, _, _ in snaps], wanted, fillvalue=math.inf):
-        if not abs(t - want) <= 1e-9 * max(1.0, min(t, want)):
+        if not abs(t - want) <= SNAPSHOT_TIME_TOL * max(1.0, min(t, want)):
             wrong = f"no snapshot at t = {want:.6g}" if t > want else f"an extra snapshot at t = {t:.6g}"
             raise ValueError(f"{run_dir}: {wrong}; config.cfg asks for t = 0, its snapshot_times and t_end")
     recorded = {r.time for r in records}

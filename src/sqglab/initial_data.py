@@ -25,6 +25,12 @@ __all__ = [
     "ladder_tie_phase",
 ]
 
+# The multiscale ladder: the ratio of consecutive scales and the shape of its
+# compound bumps, which ``ladder_tie_phase`` evolves too, so its phase matches the ladder.
+_LADDER_RATIO = float(np.sqrt(2.0))
+_LADDER_ASPECT = 1.6
+_LADDER_HALO = 1.8
+
 
 def _rotated_frame(grid: GridSpec, center, rotation: float, aspect: float):
     cx, cy = center
@@ -41,16 +47,13 @@ def gaussian_bump(
     grid: GridSpec,
     amplitude: float = 1.0,
     width: float = 1.0,
-    center: tuple[float, float] | None = None,
     aspect: float = 2.0,
     rotation: float = 0.0,
 ) -> RealField:
-    """Elliptical Gaussian bump, nonnegative, min-image periodized."""
+    """Elliptical Gaussian bump at the box centre, nonnegative, min-image periodized."""
     if width <= 0 or aspect <= 0:
         raise ValueError("width and aspect must be positive")
-    if center is None:
-        center = (grid.box_length / 2, grid.box_length / 2)
-    U, V = _rotated_frame(grid, center, rotation, aspect)
+    U, V = _rotated_frame(grid, (grid.box_length / 2, grid.box_length / 2), rotation, aspect)
     return RealField(grid, amplitude * np.exp(-(U**2 + V**2) / (2 * width**2)))
 
 
@@ -58,16 +61,13 @@ def compact_bump(
     grid: GridSpec,
     amplitude: float = 1.0,
     radius: float = 2.0,
-    center: tuple[float, float] | None = None,
     aspect: float = 2.0,
     rotation: float = 0.0,
 ) -> RealField:
-    """Smooth bump with exact compact support of the given radius."""
+    """Smooth bump at the box centre with exact compact support of the given radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if center is None:
-        center = (grid.box_length / 2, grid.box_length / 2)
-    U, V = _rotated_frame(grid, center, rotation, aspect)
+    U, V = _rotated_frame(grid, (grid.box_length / 2, grid.box_length / 2), rotation, aspect)
     q = (U**2 + V**2) / radius**2
     vals = np.zeros(grid.shape)
     inside = q < 1.0
@@ -103,22 +103,22 @@ def power_tail(
     return RealField(grid, vals)
 
 
-def random_band_limited(grid: GridSpec, seed: int, kmax_frac: float = 0.25, amplitude: float = 1.0) -> RealField:
-    """Seeded random field with spectrum confined below kmax_frac of Nyquist."""
+def random_band_limited(grid: GridSpec, seed: int, kmax_frac: float = 0.25) -> RealField:
+    """Seeded random field of sup norm 1 with spectrum confined below kmax_frac of Nyquist."""
     rng = np.random.default_rng(seed)
     sp = _Spectra.of(grid)
     kcut = kmax_frac * np.pi / grid.dx
     mask = (np.abs(sp.kx) <= kcut) & (np.abs(sp.ky) <= kcut)
     vals = sp.inverse(np.where(mask, sp.forward(rng.standard_normal(grid.shape)), 0.0))
-    vals *= amplitude / max(np.abs(vals).max(), 1e-300)
+    vals *= 1.0 / max(np.abs(vals).max(), 1e-300)
     return RealField(grid, vals)
 
 
-def _compound_bump(grid: GridSpec, center, lam: float, rotation: float, aspect: float, halo: float):
+def _compound_bump(grid: GridSpec, center, lam: float, rotation: float):
     """Difference of Gaussians with zero total mass (no monopole far field)."""
-    U, V = _rotated_frame(grid, center, rotation, aspect)
+    U, V = _rotated_frame(grid, center, rotation, _LADDER_ASPECT)
     q = U**2 + V**2
-    return np.exp(-q / (2 * lam**2)) - np.exp(-q / (2 * (halo * lam) ** 2)) / halo**2
+    return np.exp(-q / (2 * lam**2)) - np.exp(-q / (2 * (_LADDER_HALO * lam) ** 2)) / _LADDER_HALO**2
 
 
 def multiscale_ladder(
@@ -127,19 +127,17 @@ def multiscale_ladder(
     amplitude: float = 0.04,
     n_scales: int = 10,
     lam_max: float = 4.0,
-    scale_ratio: float = float(np.sqrt(2.0)),
-    aspect: float = 1.6,
-    halo: float = 1.8,
 ) -> tuple[RealField, np.ndarray]:
     """
-    Superposition of zero-mass bumps at geometrically spaced scales with the
-    scale-critical amplitude law a_j ~ lam_j^(-(alpha-1)), i.e. equal critical
-    norm per scale octave.  The sup norms of the evolved field then step down
-    the ladder at the critical rate t^(-(alpha-1)/alpha).
+    Superposition of zero-mass bumps at geometrically spaced scales (ratio
+    ``_LADDER_RATIO``) with the scale-critical amplitude law
+    a_j ~ lam_j^(-(alpha-1)), i.e. equal critical norm per scale octave.  The
+    sup norms of the evolved field then step down the ladder at the critical
+    rate t^(-(alpha-1)/alpha).
 
     Returns the field and the array of scales lam_j.
     """
-    lams = lam_max * scale_ratio ** (-np.arange(n_scales))
+    lams = lam_max * _LADDER_RATIO ** (-np.arange(n_scales))
     if lams[-1] < 3 * grid.dx:
         raise ValueError("finest ladder scale is unresolved on this grid")
     amps = amplitude * (lams / lam_max) ** (-(alpha - 1.0))
@@ -150,19 +148,12 @@ def multiscale_ladder(
         ang = golden * j + 0.9
         rad = 0.35 * L - 0.225 * L * j / max(n_scales - 1, 1)
         center = (L / 2 + rad * np.cos(ang), L / 2 + rad * np.sin(ang))
-        vals += amps[j] * _compound_bump(grid, center, lams[j], 0.8 * j, aspect, halo)
+        vals += amps[j] * _compound_bump(grid, center, lams[j], 0.8 * j)
     return RealField(grid, vals), lams
 
 
 @functools.lru_cache(maxsize=32)
-def ladder_tie_phase(
-    alpha: float,
-    scale_ratio: float,
-    norm: str = "linf",
-    aspect: float = 1.6,
-    halo: float = 1.8,
-    kappa_order: int = 0,
-) -> float:
+def ladder_tie_phase(alpha: float, scale_ratio: float, norm: str = "linf", kappa_order: int = 0) -> float:
     """
     Ladder-matched sampling phase u* for the multiscale envelope: the phase at
     which consecutive ladder stairs contribute equally to the sup norm,
@@ -175,7 +166,7 @@ def ladder_tie_phase(
     if norm not in ("linf", "riesz", "riesz_grad"):
         raise ValueError(f"unknown norm kind {norm!r}")
     g = GridSpec(384, 24.0)
-    b = RealField(g, _compound_bump(g, (12.0, 12.0), 1.0, 0.0, aspect, halo))
+    b = RealField(g, _compound_bump(g, (12.0, 12.0), 1.0, 0.0))
     uu = np.geomspace(0.02, 30.0, 72)
     vals = np.empty_like(uu)
     for i, f in enumerate(semigroup_orbit(b, uu.tolist(), alpha)):

@@ -279,11 +279,6 @@ class KernelProfile:
         object.__setattr__(self, "_log_g", log_g)
         object.__setattr__(self, "_top", min(self.r_max, _table_edge(self.alpha)))
 
-    @property
-    def tail_constant(self) -> float:
-        """C of the leading far-field term p(1, r) ~ C r^(-2-alpha)."""
-        return levy_constant(self.alpha)
-
     def radial(self, r, derivatives: bool = True) -> np.ndarray:
         """
         Rows g, g'/r and (g'' - g'/r)/r^2 at radii r (the row g alone without
@@ -309,10 +304,10 @@ class KernelProfile:
         out = self.radial(r, derivatives=False)[0]
         return float(out[0]) if np.ndim(r) == 0 else out
 
-    def total_mass(self, order: int = 16) -> float:
+    def total_mass(self) -> float:
         """2*pi int_0^inf p(1,r) r dr: the table up to min(r_max, edge), the series termwise beyond."""
         top = self._top
-        un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), order)
+        un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), 16)
         rn = np.expm1(un)
         pn = np.exp(self._log_g(rn**2))
         return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
@@ -476,12 +471,12 @@ def riesz_kernel_bound_check(
     t_set: Sequence[float],
     window_radius: float,
     grid: GridSpec,
-    axis: int = 1,
 ) -> float:
     """
-    sup over the window of |R_i grad^kappa p(t, .)| * t^(|kappa|/alpha)
+    sup over the window of |R_2 grad^kappa p(t, .)| * t^(|kappa|/alpha)
     * (t^(1/alpha) + |x|)^2, with the operator realized spectrally on a
-    torus much larger than the window.
+    torus much larger than the window.  p is radial, so R_2 gives the R_1
+    sup rotated.
     """
     if kappa.order > 1:
         raise ValueError("the bound check supports |kappa| <= 1")
@@ -495,7 +490,7 @@ def riesz_kernel_bound_check(
     for t in t_set:
         vals = kernel_eval_radial(profile, float(t), r.ravel()).reshape(r.shape)
         f = RealField(grid, vals)
-        g = apply_riesz(f, axis)
+        g = apply_riesz(f, 1)
         if kappa.order == 1:
             g = apply_derivative(g, kappa)
         ratio = np.abs(g.values[mask]) * t ** (kappa.order / a) * (t ** (1.0 / a) + r[mask]) ** 2
@@ -537,7 +532,6 @@ def lower_bound_check(
     t1: float,
     t2: float,
     x_set: np.ndarray,
-    n_times: int = 5,
 ) -> float:
     """inf over [t1,t2] x x_set of P_t|theta0|(x) (1+|x|)^(2+alpha); must be > 0."""
     if not 0 < t1 < t2:
@@ -548,13 +542,13 @@ def lower_bound_check(
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
     rr = np.hypot(xs[:, 0], xs[:, 1])
     c_low = np.inf
-    for t in np.linspace(t1, t2, n_times):
+    for t in np.linspace(t1, t2, 5):
         vals = convolve_whole_space(profile, patch_coords, pv, cell_area, float(t), xs)
         c_low = min(c_low, float(np.min(vals * (1.0 + rr) ** (2.0 + profile.alpha))))
     return c_low
 
 
-def gaussian_semigroup_radial(alpha: float, sigma: float, t: float, r, order: int = 12) -> np.ndarray:
+def gaussian_semigroup_radial(alpha: float, sigma: float, t: float, r) -> np.ndarray:
     """
     Whole-space P_t of the radial Gaussian exp(-|x|^2/(2 sigma^2)), evaluated
     at radii ``r`` through the product of Hankel transforms:
@@ -572,7 +566,7 @@ def gaussian_semigroup_radial(alpha: float, sigma: float, t: float, r, order: in
         expo = -0.5 * sigma**2 * s**2 - (t * s**alpha if t > 0 else 0.0)
         return np.exp(expo) * _sp.j0(s * rr) * s * w
 
-    return sigma**2 * _hankel_sum(S, r, _cusp_power(alpha), order, summand)
+    return sigma**2 * _hankel_sum(S, r, _cusp_power(alpha), 12, summand)
 
 
 def kernel_lp_norm(
@@ -581,7 +575,6 @@ def kernel_lp_norm(
     kappa: MultiIndex,
     t: float,
     p: float,
-    n_radial: int = 600,
 ) -> float:
     """
     ||grad^kappa p(t, .)||_p for |kappa| <= 1 by radial quadrature with the
@@ -596,22 +589,22 @@ def kernel_lp_norm(
     if np.isinf(p):
         if kappa.order == 0:
             return float(kernel_eval_radial(profile, t, np.zeros(1))[0])
-        rr = np.expm1(np.linspace(0, np.log1p(r_edge), n_radial))
+        rr = np.expm1(np.linspace(0, np.log1p(r_edge), 600))
         comp = np.abs(profile.radial(rr * t ** (-1.0 / a))[1] * rr * t ** (-1.0 / a))
         return float(comp.max() * t ** (-(2.0 + 1.0) / a))
-    un, uw = _gauss_panels(np.linspace(0.0, np.log1p(r_edge), n_radial), 12)
+    un, uw = _gauss_panels(np.linspace(0.0, np.log1p(r_edge), 600), 12)
     rn = np.expm1(un)
     jac = rn + 1.0
     if kappa.order == 0:
         vals = kernel_eval_radial(profile, t, rn)
         ang = 2 * np.pi
-        tail_mag = profile.tail_constant * t  # p(t,r) ~ C t r^(-2-a)
+        tail_mag = levy_constant(a) * t  # p(t,r) ~ C t r^(-2-a)
         tail_pow = 2.0 + a
     else:
         z = rn * t ** (-1.0 / a)
         vals = np.abs(profile.radial(z)[1] * z) * t ** (-(3.0) / a)
         ang = 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
-        tail_mag = (2.0 + a) * profile.tail_constant * t
+        tail_mag = (2.0 + a) * levy_constant(a) * t
         tail_pow = 3.0 + a
     inner = ang * float(np.sum(vals**p * rn * jac * uw))
     # tail_mag is the constant m of |grad^k p(t, r)| ~ m r^(-tail_pow)

@@ -93,6 +93,9 @@ class DiagnosticRecord:
     mean: float
 
 
+# relative tolerance (floored at 1 in t) to which a snapshot time matches a requested time
+SNAPSHOT_TIME_TOL = 1e-9
+
 # the DiagnosticRecord norms of theta: what a decay-slope fit can take
 DECAY_QUANTITIES = tuple(f.name for f in fields(DiagnosticRecord) if f.name not in ("time", "mean"))
 
@@ -110,9 +113,9 @@ class SimulationResult:
     snapshots: tuple[tuple[float, RealField], ...]
     diagnostics: tuple[DiagnosticRecord, ...]
 
-    def snapshot_at(self, t: float, tol: float = 1e-9) -> RealField:
+    def snapshot_at(self, t: float) -> RealField:
         for ts, f in self.snapshots:
-            if abs(ts - t) <= tol * max(1.0, abs(t)):
+            if abs(ts - t) <= SNAPSHOT_TIME_TOL * max(1.0, abs(t)):
                 return f
         raise KeyError(f"no snapshot at t={t}")
 

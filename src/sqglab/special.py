@@ -33,7 +33,10 @@ def beta(a: float, b: float) -> float:
     """Beta function B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b)."""
     if a <= 0 or b <= 0:
         raise ValueError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    try:
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        raise OverflowError(f"B({a}, {b}) or one of its log-gamma terms is beyond the float range") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,7 +56,7 @@ def _gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return (a + h * gx).reshape(shape), (h * gw).reshape(shape)
 
 
-def singular_time_convolution(a: float, b: float, t: float, order: int = 48) -> float:
+def singular_time_convolution(a: float, b: float, t: float) -> float:
     """
     Quadrature of int_0^t (t-s)^(-a) s^(-b) ds for a, b in [0, 1).
 
@@ -69,7 +72,7 @@ def singular_time_convolution(a: float, b: float, t: float, order: int = 48) -> 
     total = 0.0
     # s in [0, t/2]: substitute s = half * u^(1/(1-b))
     qb = 1.0 / (1.0 - b)
-    u, w = _gauss_panels(np.linspace(0.0, 1.0, 9), order)
+    u, w = _gauss_panels(np.linspace(0.0, 1.0, 9), 48)
     s = half * u**qb
     total += float(np.sum((t - s) ** (-a) * half**(1 - b) * qb * u ** (qb * (1 - b) - 1) * w))
     # s in [t/2, t]: substitute t - s = half * u^(1/(1-a))
@@ -84,19 +87,17 @@ def _power_diff_factor(v: float, delta: np.ndarray, alpha: float) -> np.ndarray:
     return v**alpha * np.expm1(alpha * np.log1p(delta / v)) / delta
 
 
-def radial_singular_integral(
-    alpha: float,
-    beta_param: float,
-    v: float,
-    n_panels: int = 24,
-    order: int = 10,
-) -> tuple[float, float]:
+def radial_singular_integral(alpha: float, beta_param: float, v: float,
+                             n_panels: int = 24) -> tuple[float, float]:
     """
     I(v) = int_v^1 r^(-beta) (1-r^alpha)^(-1/alpha) (r^alpha-v^alpha)^(-1/alpha) dr,
     with the endpoint singularities removed by the substitutions
     r = v + w^q and r = 1 - w^q, q = alpha/(alpha-1).
 
     Returns (I, ratio) where ratio = I / (v^(-beta) (1-v)^(1-2/alpha)).
+    Raises OverflowError when v^(-beta) is beyond the float range and
+    ValueError when I is not finite (alpha too close to 1 for the
+    substitutions).
     """
     if not 0.0 < v < 1.0:
         raise ValueError(f"v must lie in (0,1), got {v}")
@@ -104,6 +105,11 @@ def radial_singular_integral(
         raise ValueError(f"beta_param must be positive, got {beta_param}")
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1,2), got {alpha}")
+    try:
+        scale = v ** (-beta_param) * (1.0 - v) ** (1.0 - 2.0 / alpha)
+    except OverflowError:
+        raise OverflowError(f"v^(-beta_param) at v = {v}, beta_param = {beta_param} "
+                            "is beyond the float range") from None
     q = alpha / (alpha - 1.0)
     ainv = 1.0 / alpha
     mid = 0.5 * (v + 1.0)
@@ -111,7 +117,7 @@ def radial_singular_integral(
     # left half [v, mid]: r = v + w^q; the w-powers of the jacobian and the
     # (r - v)^(-1/alpha) singularity cancel exactly
     wmax = (mid - v) ** (1.0 / q)
-    w, ww = _gauss_panels(np.linspace(0.0, wmax, n_panels + 1), order)
+    w, ww = _gauss_panels(np.linspace(0.0, wmax, n_panels + 1), 10)
     delta = w**q
     r = v + delta
     psi = _power_diff_factor(v, delta, alpha)  # (r^a - v^a)/(r - v)
@@ -120,7 +126,7 @@ def radial_singular_integral(
 
     # right half [mid, 1]: r = 1 - w^q
     wmax = (1.0 - mid) ** (1.0 / q)
-    w, ww = _gauss_panels(np.linspace(0.0, wmax, n_panels + 1), order)
+    w, ww = _gauss_panels(np.linspace(0.0, wmax, n_panels + 1), 10)
     delta = w**q
     r = 1.0 - delta
     phi = _power_diff_factor(1.0, -delta, alpha)  # (1 - r^a)/(1 - r)
@@ -133,8 +139,10 @@ def radial_singular_integral(
     right = float(np.sum(fright * ww))
 
     value = left + right
-    ratio = value / (v ** (-beta_param) * (1.0 - v) ** (1.0 - 2.0 / alpha))
-    return value, ratio
+    if not math.isfinite(value):
+        raise ValueError(f"the radial integral at alpha = {alpha!r} (beta_param = {beta_param}, v = {v}) "
+                         f"is not finite: alpha is too close to 1 for its substitutions")
+    return value, value / scale
 
 
 def _kernel_moments(z0: np.ndarray, z1: np.ndarray, t: float, a: float, b: float):
@@ -211,7 +219,6 @@ def apply_T_gamma(
     gamma: float,
     alpha: float,
     semigroup: Callable[[RealField, float], RealField],
-    targets: Sequence[int] | None = None,
 ) -> list[tuple[float, RealField]]:
     """
     Discretized weighted smoothing operator
@@ -219,9 +226,8 @@ def apply_T_gamma(
         (T f)(t, x) = t^gamma * int_0^t s^(-gamma-(alpha-1)/alpha) (t-s)^(-1/alpha)
                       P_(t-s) |f(s, .)| ds,
 
-    evaluated at the time-grid nodes listed in ``targets`` (default: the last
-    node only).  ``fields`` holds f at every node of ``time_grid``.
-    Outputs are nonnegative.
+    at the last time-grid node t_m, as the one-element list [(t_m, T f(t_m))].
+    ``fields`` holds f at every node of ``time_grid``.  Outputs are nonnegative.
     """
     if not 0.0 < gamma < 1.0 / alpha:
         raise ValueError(f"gamma must lie in (0, 1/alpha), got {gamma}")
@@ -232,20 +238,14 @@ def apply_T_gamma(
     nodes = time_grid.nodes
     if len(fields) != len(nodes):
         raise ValueError("one field per time-grid node is required")
-    if targets is None:
-        targets = [len(nodes) - 1]
     grid = fields[0].grid
-    out: list[tuple[float, RealField]] = []
-    for j in targets:
-        t_j = float(nodes[j])
-        w = product_weights(nodes[: j + 1], t_j, a, b)
-        acc = np.zeros(grid.shape)
-        for i in range(j + 1):
-            absf = RealField(grid, np.abs(fields[i].values))
-            acc += w[i] * semigroup(absf, t_j - float(nodes[i])).values
-        acc *= t_j**gamma
-        out.append((t_j, RealField(grid, np.maximum(acc, 0.0))))
-    return out
+    t_m = float(nodes[-1])
+    w = product_weights(nodes, t_m, a, b)
+    acc = np.zeros(grid.shape)
+    for w_i, s_i, f in zip(w, nodes.tolist(), fields):
+        acc += w_i * semigroup(RealField(grid, np.abs(f.values)), t_m - s_i).values
+    acc *= t_m**gamma
+    return [(t_m, RealField(grid, np.maximum(acc, 0.0)))]
 
 
 def tgamma_inner_ratio(gamma: float, alpha: float, u: float) -> float:

@@ -234,7 +234,6 @@ def decay_slope_fit(
     expected: float,
     quantity: str = "",
     tolerance: float = 0.05,
-    min_points: int = 8,
     min_decades: float = 1.5,
 ) -> SlopeFit:
     """Unweighted least-squares exponent of log(value) against log(t)."""
@@ -242,8 +241,8 @@ def decay_slope_fit(
     v = np.asarray(values, dtype=float)
     ok = (t > 0) & (v > 0) & np.isfinite(v)
     t, v = t[ok], v[ok]
-    if len(t) < min_points:
-        raise ValueError(f"slope fit needs at least {min_points} usable points, got {len(t)}")
+    if len(t) < 8:
+        raise ValueError(f"slope fit needs at least 8 usable points, got {len(t)}")
     decades = math.log10(t.max() / t.min())
     if decades < min_decades:
         raise ValueError(f"slope fit needs >= {min_decades} decades of t, got {decades:.2f}")
@@ -452,5 +451,6 @@ def run_checks(cfg: RunConfig, result: SimulationResult, names: Sequence[str]) -
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known checks: {', '.join(CHECKS)}")
     if not names:
-        raise ValueError("no check selected")
+        raise ValueError("no check selected: verification.checks in config.cfg, or --checks, "
+                         f"names none; known checks: {', '.join(CHECKS)}")
     return [row for name, fn in CHECKS.items() if name in names for row in fn(cfg, result)]

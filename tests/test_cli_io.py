@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -547,6 +548,7 @@ class TestSimulateCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: Picard iterate distances grew")
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "div").exists()
 
 
 class TestVerifyCli:
@@ -572,6 +574,19 @@ class TestVerifyCli:
             f.unlink()
         assert run_cli("verify", "--run", linear_run_dir) == 2
         assert "snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["--checks", "verification.checks"])
+    def test_empty_check_selection_named(self, linear_run_dir, capsys, where):
+        if where == "--checks":
+            args = ("--checks", "")
+        else:
+            cfg = linear_run_dir / "config.cfg"
+            cfg.write_text(re.sub(r"(?m)^checks = .*$", "checks =", cfg.read_text()))
+            args = ()
+        assert run_cli("verify", "--run", linear_run_dir, *args) == 2
+        err = capsys.readouterr().err
+        assert "verification.checks" in err and "--checks" in err
+        assert f"known checks: {', '.join(CHECKS)}" in err
 
     def test_kernel_option_refused(self, linear_run_dir, capsys):
         # verify reads no kernel profile, so argparse refuses the option
@@ -719,6 +734,16 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
 
+def test_modules_load_without_the_kernel():
+    # the package re-exports nothing, so only what imports kernel loads it and scipy.interpolate
+    code = ("import sys, sqglab.grid, sqglab.initial_data, sqglab.special, sqglab.solver, sqglab.verify, "
+            "sqglab.io, sqglab.runconfig; print(sorted({'sqglab.kernel', 'scipy.interpolate'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("args, option", [
     (("kernel", "--alpha", 1.5, "--t-min", "nan"), "--t-min"),
     (("kernel", "--alpha", 1.5, "--t-min", 0), "--t-min"),
@@ -838,6 +863,19 @@ class TestSpecialCli:
         ) == 0
         assert "ratio range" in capsys.readouterr().out
         assert csv_path.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (("beta", "1e308", "1e308"), "B(1e+308, 1e+308) or one of its log-gamma terms is beyond"),
+        (("radial-integral", "--alpha", 1.5, "--beta-param", "1e6"), "beta_param = 1000000.0 is beyond"),
+        # q = alpha/(alpha-1) is so large that the substitutions underflow to 0/0
+        (("radial-integral", "--alpha", "1.0000000000000002", "--beta-param", 1, "--n-points", 2),
+         "alpha = 1.0000000000000002"),
+    ])
+    def test_unrepresentable_result_named_exit_two(self, capsys, argv, named):
+        assert run_cli("special", *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
 
     def test_tgamma_study(self, capsys):
         assert run_cli("special", "tgamma", "--gamma", 0.3, "--alpha", 1.5, "--n-points", 9) == 0
@@ -1110,6 +1148,7 @@ class TestFromFileInitialData:
         cfgfile.write_text(text)
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "seed.sqgf: snapshot samples must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ff").exists()  # a refused datum leaves no output directory
 
 
 def test_kernel_cli_gaussian_endpoint_value(tmp_path):

@@ -20,7 +20,6 @@ from sqglab.kernel import (
     kernel_eval,
     kernel_eval_radial,
     kernel_lp_norm,
-    levy_constant,
     levy_density,
     load_profile,
     lower_bound_check,
@@ -75,10 +74,6 @@ class TestProfileBuild:
     def test_two_sided_bounded_on_table(self, profile15):
         scaled = profile15.values * (1 + profile15.radii) ** (2 + 1.5)
         assert 0 < scaled.min() and scaled.max() < 2.0
-
-    def test_tail_constant_near_exact(self, profile15):
-        # the leading far-field coefficient is the exact jump-measure constant
-        assert profile15.tail_constant == levy_constant(1.5)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):

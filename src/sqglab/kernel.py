@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-class QuadratureConvergenceError(RuntimeError):
+class QuadratureConvergenceError(ValueError):
     """Oscillatory Hankel quadrature failed its tolerance check."""
 
 

@@ -42,11 +42,11 @@ class RunConfig:
     alpha: float = _ini("solver", "alpha", 1.5)
     dt: float = _ini("solver", "dt", 0.2)
     t_end: float = _ini("solver", "t_end", 1.0)
-    scheme: str = _ini("solver", "scheme", "ifrk4")
-    dealias: bool = _ini("solver", "dealias", True)
-    nonlinear: bool = _ini("solver", "nonlinear", True)
-    cfl_safety: float = _ini("solver", "cfl_safety", 0.5)
-    snapshot_times: tuple[float, ...] = _ini("solver", "snapshot_times", ())
+    scheme: str = _ini("solver", "scheme", SolverConfig.scheme)
+    dealias: bool = _ini("solver", "dealias", SolverConfig.dealias)
+    nonlinear: bool = _ini("solver", "nonlinear", SolverConfig.nonlinear)
+    cfl_safety: float = _ini("solver", "cfl_safety", SolverConfig.cfl_safety)
+    snapshot_times: tuple[float, ...] = _ini("solver", "snapshot_times", SolverConfig.snapshot_times)
     id_kind: str = _ini("initial_data", "kind", "gaussian")
     id_amplitude: float = _ini("initial_data", "amplitude", 0.25)
     id_width: float = _ini("initial_data", "width", 1.0)
@@ -76,20 +76,14 @@ class RunConfig:
         return GridSpec(self.grid_n, self.box_length)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            alpha=self.alpha,
-            dt=self.dt,
-            t_end=self.t_end,
-            grid=self.grid(),
-            scheme=self.scheme,
-            dealias=self.dealias,
-            nonlinear=self.nonlinear,
-            snapshot_times=self.snapshot_times,
-            cfl_safety=self.cfl_safety,
-        )
+        return SolverConfig(grid=self.grid(), **{name: getattr(self, name) for name in _SOLVER_FIELDS})
 
     def build_theta0(self, base_dir: Path | None = None) -> RealField:
         return _BUILDERS[self.id_kind](self, self.grid(), base_dir)
+
+
+# the SolverConfig fields a RunConfig field of the same name sets (all but grid)
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name in RunConfig.__dataclass_fields__)
 
 
 def _key(name: str) -> str:

@@ -18,6 +18,8 @@ The cross-validation of the two solution paths pins this sign down.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,17 +42,21 @@ __all__ = [
 ]
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(ValueError):
     """Field left the finite range during stepping."""
 
 
-class PicardDivergenceError(RuntimeError):
+class PicardDivergenceError(ValueError):
     """Successive Picard iterates stopped contracting."""
 
 
 def critical_exponent(alpha: float) -> float:
     """The scale-critical integrability power 2/(alpha-1)."""
     return 2.0 / (alpha - 1.0)
+
+
+# the most steps an IF-RK4 config may plan, ceil(t_end/dt); the shipped runs plan at most 100
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,10 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("ifrk4", "picard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        # ceil(t_end/dt) > MAX_STEPS exactly when t_end/dt > MAX_STEPS; an overflow to inf is refused too
+        if self.scheme == "ifrk4" and self.t_end / self.dt > MAX_STEPS:
+            raise ValueError(f"dt = {self.dt!r} and t_end = {self.t_end!r} plan more than "
+                             f"{MAX_STEPS} IF-RK4 steps")
         snaps = tuple(sorted(float(s) for s in self.snapshot_times))
         if not all(0 <= s <= self.t_end + 1e-12 for s in snaps):
             raise ValueError(f"snapshot_times must lie in [0, t_end], got {self.snapshot_times!r}")
@@ -104,7 +114,8 @@ DECAY_QUANTITIES = tuple(f.name for f in fields(DiagnosticRecord) if f.name not 
 class SimulationResult:
     """
     One run, the same for both schemes: ``snapshots`` is (0, theta0), then
-    one per positive snapshot time and t_end, ascending; ``diagnostics``
+    one per positive snapshot time and t_end, ascending (construction
+    refuses any other times with ValueError); ``diagnostics``
     starts with the record at t = 0 and has one at every snapshot time
     (IF-RK4 adds one per step).
     """
@@ -112,6 +123,15 @@ class SimulationResult:
     config: SolverConfig
     snapshots: tuple[tuple[float, RealField], ...]
     diagnostics: tuple[DiagnosticRecord, ...]
+
+    def __post_init__(self) -> None:
+        # t = 0 and each target, within SNAPSHOT_TIME_TOL; inf pads the shorter
+        # list (so the tolerance scales with the finite time of a pair)
+        wanted = [0.0] + _snapshot_targets(self.config)
+        for t, want in itertools.zip_longest([t for t, _ in self.snapshots], wanted, fillvalue=math.inf):
+            if not abs(t - want) <= SNAPSHOT_TIME_TOL * max(1.0, min(t, want)):
+                wrong = f"no snapshot at t = {want:.6g}" if t > want else f"an extra snapshot at t = {t:.6g}"
+                raise ValueError(f"{wrong}; the config asks for t = 0, its snapshot_times and t_end")
 
     def snapshot_at(self, t: float) -> RealField:
         for ts, f in self.snapshots:

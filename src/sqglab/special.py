@@ -83,8 +83,10 @@ def singular_time_convolution(a: float, b: float, t: float) -> float:
 
 
 def _power_diff_factor(v: float, delta: np.ndarray, alpha: float) -> np.ndarray:
-    """((v+delta)^alpha - v^alpha)/delta, stable for small delta."""
-    return v**alpha * np.expm1(alpha * np.log1p(delta / v)) / delta
+    """((v+delta)^alpha - v^alpha)/delta, stable for small delta; NaN where delta
+    underflows to 0, which the caller's finiteness check refuses."""
+    with np.errstate(invalid="ignore"):
+        return v**alpha * np.expm1(alpha * np.log1p(delta / v)) / delta
 
 
 def radial_singular_integral(alpha: float, beta_param: float, v: float,

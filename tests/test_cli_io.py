@@ -1,3 +1,5 @@
+import ast
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -27,7 +29,7 @@ from sqglab.io import (
     write_snapshot,
 )
 from sqglab.runconfig import ConfigError, RunConfig, parse_config, serialize_config
-from sqglab.solver import DECAY_QUANTITIES, DiagnosticRecord, critical_exponent
+from sqglab.solver import DECAY_QUANTITIES, MAX_STEPS, DiagnosticRecord, critical_exponent
 from sqglab.verify import CHECKS
 
 
@@ -193,7 +195,8 @@ def _valid_configs(draw):
         grid_n=2 * draw(st.integers(min_value=8, max_value=10**6)),
         box_length=draw(_POSITIVE),
         alpha=alpha,
-        dt=draw(_POSITIVE),
+        # within the IF-RK4 step budget, with room for the rounding of t_end/dt
+        dt=draw(st.floats(min_value=max(1e-9, 2 * t_end / MAX_STEPS), max_value=1e9)),
         t_end=t_end,
         scheme=draw(st.sampled_from(["ifrk4", "picard"])),
         dealias=draw(st.booleans()),
@@ -550,6 +553,36 @@ class TestSimulateCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "div").exists()
 
+    @pytest.mark.parametrize("dt, t_end", [("1e-300", "1.0"), ("0.05", "1e12")])
+    def test_step_budget_exit_two(self, tmp_path, dt, t_end):
+        # t + 1e-300 == t, and 2e13 steps do not end either: refused before any work
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "run.cfg"
+        text = BASE_CONFIG.format(out=out).replace("n = 64", "n = 16").replace("dt = 0.05", f"dt = {dt}")
+        cfgfile.write_text(text.replace("t_end = 0.3", f"t_end = {t_end}"))
+        src = str(Path(sqglab.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqglab.cli", "simulate", "--config", str(cfgfile)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"dt = {float(dt)!r} and t_end = {float(t_end)!r}" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["sqglab.runconfig.RunConfig.build_theta0", "sqglab.cli.run_simulation"])
+    def test_out_of_memory_names_grid_n(self, tmp_path, capsys, monkeypatch, where):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(where, exhausted)
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=out))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert capsys.readouterr().err == "error: grid.n = 64: not enough memory for a grid of this size\n"
+        assert not out.exists()
+
 
 class TestVerifyCli:
     @pytest.fixture
@@ -744,6 +777,20 @@ def test_modules_load_without_the_kernel():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_restates_no_solver_rule():
+    # every sqglab error is a ValueError, so main's except names only builtins; and
+    # the snapshot contract is SimulationResult's, so cli needs no private solver name
+    tree = ast.parse((Path(sqglab.__file__).parent / "cli.py").read_text())
+    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    caught = [n for h in ast.walk(main_def) if isinstance(h, ast.ExceptHandler) for n in ast.walk(h.type)]
+    names = [n.id for n in caught if isinstance(n, ast.Name)]
+    assert names and all(isinstance(getattr(builtins, n, None), type) for n in names)
+    assert not [n for n in caught if isinstance(n, ast.Attribute)]
+    private = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "solver"
+               for a in n.names if a.name.startswith("_")]
+    assert private == []
+
+
 @pytest.mark.parametrize("args, option", [
     (("kernel", "--alpha", 1.5, "--t-min", "nan"), "--t-min"),
     (("kernel", "--alpha", 1.5, "--t-min", 0), "--t-min"),
@@ -871,11 +918,13 @@ class TestSpecialCli:
         (("radial-integral", "--alpha", "1.0000000000000002", "--beta-param", 1, "--n-points", 2),
          "alpha = 1.0000000000000002"),
     ])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would end the run as an internal error
     def test_unrepresentable_result_named_exit_two(self, capsys, argv, named):
         assert run_cli("special", *argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert named in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tgamma_study(self, capsys):
         assert run_cli("special", "tgamma", "--gamma", 0.3, "--alpha", 1.5, "--n-points", 9) == 0
@@ -952,6 +1001,25 @@ class TestVerifyExtendedChecks:
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert run_cli("verify", "--run", out) == 1  # 0.3 time units < 1.5 decades
         assert "slope_linf" in (out / "verdict.csv").read_text()
+
+    def test_slopes_row_is_the_diagnostics_fit(self, tmp_path):
+        # a linear power-tail run over 1.5 decades: the fit succeeds and its row is the fit's
+        out = tmp_path / "sl"
+        cfgfile = tmp_path / "sl.cfg"
+        text = BASE_CONFIG.format(out=out).replace("box_length = 20.0", "box_length = 100.0")
+        text = text.replace("dt = 0.05", "dt = 0.5").replace("t_end = 0.3", "t_end = 100.0")
+        text = text.replace("nonlinear = on", "nonlinear = off").replace("snapshot_times = 0.1, 0.3", "snapshot_times =")
+        text = text.replace("kind = gaussian", "kind = power_tail\ngamma_exp = 0.55")
+        cfgfile.write_text(text.replace("checks = max_principle, mass_conservation, ratio, limits",
+                                        "checks = slopes\nslope_quantities = linf\nslope_t_lo = 3.0\n"
+                                        "slope_tolerance = 0.1"))
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        assert run_cli("verify", "--run", out) == 0
+        with open(out / "verdict.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        fit = _verify.diagnostics_slope_fit(1.5, read_diagnostics(out / "diagnostics.csv"), "linf", 0.1, 3.0)
+        assert row["check"] == "slope_linf" and row["passed"] == "1" and fit.passed
+        assert float(row["measured"]) == pytest.approx(fit.slope, rel=1e-12)
 
 
 def small_run(tmp_path, out, snapshot_times="0.1, 0.3"):
@@ -1149,6 +1217,60 @@ class TestFromFileInitialData:
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "seed.sqgf: snapshot samples must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ff").exists()  # a refused datum leaves no output directory
+
+    def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
+        g = GridSpec(64, 20.0)
+        seed = RealField(g, np.random.default_rng(0).random(g.shape))
+        write_snapshot(tmp_path / "seed.sqgf", seed, t=0.0, alpha=1.5)
+        cfgfile = tmp_path / "ff.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "ff").replace(
+            "kind = gaussian", "kind = from_file\npath = seed.sqgf"))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run_cli("simulate", "--config", cfgfile) == 0
+        first = sorted((tmp_path / "ff").glob("snapshot_*.sqgf"))[0]
+        assert np.array_equal(read_snapshot(first)[0].values, seed.values)
+
+    def test_seed_off_the_grid_named(self, tmp_path, capsys):
+        g = GridSpec(32, 20.0)
+        write_snapshot(tmp_path / "seed.sqgf", RealField(g, np.ones(g.shape)), t=0.0, alpha=1.5)
+        cfgfile = tmp_path / "ff.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "ff").replace(
+            "kind = gaussian", "kind = from_file\npath = seed.sqgf"))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert capsys.readouterr().err == ("error: initial_data.path: field grid 32/20.0 "
+                                           "does not match configured grid 64/20.0\n")
+        assert not (tmp_path / "ff").exists()
+
+
+class TestInitialDataKinds:
+    @staticmethod
+    def theta0(initial_data: str) -> np.ndarray:
+        text = BASE_CONFIG.format(out="x").replace("kind = gaussian\namplitude = 0.4\nwidth = 1.0\naspect = 2.0",
+                                                   initial_data)
+        return parse_config(text).build_theta0().values
+
+    def test_compact_bump_support(self):
+        # radius 1.5 and aspect 2: exp(1 - 1/(1 - q)) on q = (x^2 + (y/2)^2)/1.5^2 < 1, exactly 0 elsewhere
+        values = self.theta0("kind = compact_bump\namplitude = 0.4\nwidth = 1.5\naspect = 2.0")
+        X, Y = GridSpec(64, 20.0).centered_coordinates()
+        q = (X**2 + (Y / 2) ** 2) / 1.5**2
+        assert np.all(values[q >= 1] == 0.0) and np.all(values[q < 1] > 0)
+        assert values[32, 32] == values.max() == 0.4  # the box centre, q = 0
+        q_off = (0.625 / 1.5) ** 2  # two cells along x
+        assert values[34, 32] == pytest.approx(0.4 * math.exp(1 - 1 / (1 - q_off)), rel=1e-14)
+
+    def test_power_tail_angular_modulation(self):
+        # (1 + angular cos(2 phi) |x|^2 / (1 + |x|^2)) times the unmodulated tail
+        base = self.theta0("kind = power_tail\namplitude = 0.4\ngamma_exp = 0.6\ncore = 0.5")
+        mod = self.theta0("kind = power_tail\namplitude = 0.4\ngamma_exp = 0.6\ncore = 0.5\nangular = 0.5")
+        X, Y = GridSpec(64, 20.0).centered_coordinates()
+        ratio = mod / base
+        r2 = X**2 + Y**2
+        on_x, on_y = (Y == 0) & (X != 0), (X == 0) & (Y != 0)
+        assert np.allclose(ratio[on_x], 1 + 0.5 * r2[on_x] / (1 + r2[on_x]), rtol=1e-14, atol=0)
+        assert np.allclose(ratio[on_y], 1 - 0.5 * r2[on_y] / (1 + r2[on_y]), rtol=1e-14, atol=0)
+        assert ratio[32, 32] == 1.0
 
 
 def test_kernel_cli_gaussian_endpoint_value(tmp_path):

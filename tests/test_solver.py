@@ -18,8 +18,10 @@ from sqglab.grid import (
 from sqglab.initial_data import gaussian_bump, multiscale_ladder
 import sqglab.solver as solver
 from sqglab.solver import (
+    MAX_STEPS,
     BlowUpError,
     PicardDivergenceError,
+    SimulationResult,
     SolverConfig,
     critical_exponent,
     nonlinear_term,
@@ -126,6 +128,14 @@ class TestConfigValidation:
     def test_non_finite_times_refused(self, grid128, name, value):
         with pytest.raises(ValueError, match=name):
             cfg_for(grid128, **{name: value})
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-300, 1.0), (0.05, 1e12), (5e-324, 1e6)])
+    def test_step_budget(self, grid128, dt, t_end):
+        # dt = 1e-300 never advances t, and t_end / 5e-324 overflows to inf
+        with pytest.raises(ValueError, match=f"dt = {dt!r} and t_end = {t_end!r} plan more than"):
+            cfg_for(grid128, dt=dt, t_end=t_end)
+        cfg_for(grid128, dt=dt, t_end=t_end, scheme="picard")  # one iteration per snapshot, not per dt
+        cfg_for(grid128, dt=1.0, t_end=float(MAX_STEPS))
 
 
 class TestNonlinearTerm:
@@ -388,6 +398,23 @@ class TestRunSimulation:
             # Picard's record is of the snapshot after one FFT round trip
             assert records[t].linf == pytest.approx(np.abs(f.values).max(), rel=1e-12, abs=0)
             assert records[t].mean == pytest.approx(f.values.mean(), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("times, wrong", [
+        ((0.0, 0.1), "no snapshot at t = 0.3;"),
+        ((0.1, 0.3), "no snapshot at t = 0;"),
+        ((0.0, 0.1, 0.2, 0.3), "an extra snapshot at t = 0.2;"),
+        ((0.0, 0.1, 0.3 + 1e-6), "no snapshot at t = 0.3;"),
+        ((0.0, 0.1 + 1e-10, 0.3 - 1e-10), None),
+    ])
+    def test_result_holds_the_snapshot_times(self, times, wrong):
+        g = GridSpec(16, 5.0)
+        snaps = tuple((t, RealField(g, np.zeros(g.shape))) for t in times)
+        cfg = cfg_for(g, t_end=0.3, snapshot_times=(0.1,))
+        if wrong is None:  # within SNAPSHOT_TIME_TOL
+            SimulationResult(cfg, snaps, ())
+            return
+        with pytest.raises(ValueError, match=wrong):
+            SimulationResult(cfg, snaps, ())
 
     def test_rejects_non_finite_data(self, grid128):
         bad = np.zeros(grid128.shape)

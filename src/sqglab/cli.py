@@ -25,14 +25,7 @@ import numpy as np
 from . import kernel as _kernel
 from . import special as _special
 from . import verify as _verify
-from .io import (
-    format_verdict_table,
-    read_diagnostics,
-    read_run_snapshots,
-    write_csv,
-    write_run,
-    write_verdicts,
-)
+from .io import CONFIG_FILE, read_run, write_csv, write_run, write_verdicts
 from .runconfig import RunConfig, _names, _validate, parse_config_file, serialize_config
 from .solver import DECAY_QUANTITIES, SimulationResult, run_simulation
 
@@ -61,58 +54,30 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config_file(args.config)
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
     try:
-        theta0 = cfg.build_theta0(base_dir=Path(args.config).parent)
-        result = run_simulation(cfg.solver_config(), theta0)
+        result = run_simulation(cfg.solver_config(), cfg.build_theta0())
     except MemoryError:
         raise ValueError(f"grid.n = {cfg.grid_n}: not enough memory for a grid of this size") from None
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.cfg").write_text(serialize_config(cfg))
-    write_run(out, result)
+    out = Path(cfg.output_dir)
+    write_run(out, result, serialize_config(cfg))
     print(f"run complete: {len(result.snapshots)} snapshots, "
           f"{len(result.diagnostics)} diagnostic records -> {out}")
     return 0
 
 
 def _load_run(run_dir: Path) -> tuple[RunConfig, SimulationResult]:
-    cfg_path = run_dir / "config.cfg"
-    if not cfg_path.exists():
-        raise FileNotFoundError(f"missing run configuration {cfg_path}")
-    cfg = parse_config_file(cfg_path)
-    diag_path = run_dir / "diagnostics.csv"
-    if not diag_path.exists():
-        raise FileNotFoundError(f"missing diagnostics file {diag_path}")
-    records = read_diagnostics(diag_path)
-    if not records or records[0].time != 0.0:
-        raise ValueError(f"{diag_path}: the first record must be at t = 0")
-    snaps = read_run_snapshots(run_dir)
-    try:
-        result = SimulationResult(cfg.solver_config(), tuple((t, f) for t, f, _ in snaps), tuple(records))
-    except ValueError as e:  # the snapshot times are not the ones config.cfg asks for
-        raise ValueError(f"{run_dir}: {e}") from None
-    recorded = {r.time for r in records}
-    for t, f, a in snaps:
-        if t not in recorded:
-            raise ValueError(f"{diag_path}: no record at the snapshot time t = {t!r}")
-        if not abs(a - cfg.alpha) <= 1e-12:
-            raise ValueError(f"{run_dir}: the snapshot at t = {t:.6g} has alpha {a}, config.cfg {cfg.alpha}")
-        if f.grid != cfg.grid():
-            raise ValueError(f"{run_dir}: the snapshot at t = {t:.6g} is on {f.grid}, config.cfg on {cfg.grid()}")
-    return cfg, result
+    cfg = parse_config_file(run_dir / CONFIG_FILE)
+    return cfg, read_run(run_dir, cfg.solver_config())
 
 
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run)
     cfg, result = _load_run(run_dir)
     if args.checks is not None:
-        # the selection is held to the rules of verification.checks, as in config.cfg
+        # the selection is held to the rules of verification.checks
         cfg = _validate(dataclasses.replace(cfg, checks=_names(args.checks)))
     rows = _verify.run_checks(cfg, result, cfg.checks)
-    write_verdicts(run_dir / "verdict.csv", rows)
-    table = format_verdict_table(rows)
-    (run_dir / "summary.txt").write_text(table + "\n")
-    print(table)
+    print(write_verdicts(run_dir, rows))
     return 0 if all(r.passed for r in rows) else CHECK_FAILURE
 
 
@@ -188,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run a configured simulation")
     s.add_argument("--config", required=True)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_simulate)
 
     v = sub.add_parser("verify", help="evaluate estimate checks on a run directory")

@@ -191,7 +191,7 @@ def ladder_tie_phase(alpha: float, scale_ratio: float, norm: str = "linf", kappa
     signs = np.sign(gv)
     cross = np.where(signs[:-1] != signs[1:])[0]
     if len(cross) == 0:
-        raise RuntimeError("no tie phase found; widen the scan range")
+        raise ValueError("no tie phase found; widen the scan range")
     i = cross[0]
     x0, x1, v0, v1 = xs[i], xs[i + 1], gv[i], gv[i + 1]
     return float(np.exp(x0 - v0 * (x1 - x0) / (v1 - v0)))

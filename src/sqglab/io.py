@@ -14,6 +14,10 @@ file must be exactly as long as its header says.
 ``write_csv`` writes every CSV file, floats as ``repr``: ``diagnostics.csv``
 (``DIAG_COLUMNS``), ``verdict.csv``, the ``kernel`` verb's estimate sweep and
 ``special radial-integral --out``.
+
+A run directory is this module's alone: ``write_run`` writes its ``config.cfg``,
+``diagnostics.csv`` and ``snapshot_<index>_t<time>.sqgf`` files, ``read_run``
+reads them back and ``write_verdicts`` adds ``verdict.csv`` and ``summary.txt``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridSpec, RealField
-from .solver import DiagnosticRecord, SimulationResult
+from .solver import DiagnosticRecord, SimulationResult, SolverConfig
 from .verify import VerdictRow
 
 __all__ = [
@@ -39,9 +43,9 @@ __all__ = [
     "write_diagnostics",
     "read_diagnostics",
     "write_run",
+    "read_run",
     "read_run_snapshots",
     "write_verdicts",
-    "format_verdict_table",
 ]
 
 
@@ -50,6 +54,13 @@ BinaryFormat = namedtuple("BinaryFormat", "kind magic version header arrays")
 SNAPSHOT_FORMAT = BinaryFormat("snapshot", b"SQGF", 1, "<Iddd", lambda h: (h[0] * h[0],))
 PROFILE_FORMAT = BinaryFormat("kernel profile", b"SQGK", 1, "<ddI", lambda h: (h[2], h[2]))
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagnosticRecord))
+
+# the files of a run directory
+CONFIG_FILE = "config.cfg"
+DIAGNOSTICS_FILE = "diagnostics.csv"
+SNAPSHOT_GLOB = "snapshot_*.sqgf"
+VERDICT_FILE = "verdict.csv"
+SUMMARY_FILE = "summary.txt"
 
 
 def _write_binary(path, fmt: BinaryFormat, header: tuple, *arrays) -> None:
@@ -135,37 +146,56 @@ def read_diagnostics(path) -> list[DiagnosticRecord]:
     return out
 
 
-def snapshot_filename(index: int, t: float) -> str:
-    return f"snapshot_{index:04d}_t{t:.6e}.sqgf"
-
-
-def write_run(run_dir, result: SimulationResult) -> None:
-    """Persist snapshots and the diagnostics series of one simulation; the
+def write_run(run_dir, result: SimulationResult, config_text: str) -> None:
+    """Persist one simulation and the configuration text that re-runs it; the
     directory's earlier snapshots go first, so a re-run replaces them."""
     d = Path(run_dir)
     d.mkdir(parents=True, exist_ok=True)
-    for old in d.glob("snapshot_*.sqgf"):
+    for old in d.glob(SNAPSHOT_GLOB):
         old.unlink()
-    write_diagnostics(d / "diagnostics.csv", result.diagnostics)
+    (d / CONFIG_FILE).write_text(config_text)
+    write_diagnostics(d / DIAGNOSTICS_FILE, result.diagnostics)
     for i, (t, field) in enumerate(result.snapshots):
-        write_snapshot(d / snapshot_filename(i, t), field, t, result.config.alpha)
+        write_snapshot(d / f"snapshot_{i:04d}_t{t:.6e}.sqgf", field, t, result.config.alpha)
 
 
 def read_run_snapshots(run_dir) -> list[tuple[float, RealField, float]]:
     """All snapshots in a run directory as (t, field, alpha), sorted by time."""
     d = Path(run_dir)
-    files = sorted(d.glob("snapshot_*.sqgf"))
+    files = sorted(d.glob(SNAPSHOT_GLOB))
     if not files:
         raise FileNotFoundError(f"no snapshot files found in {d}")
     return sorted([(t, f, a) for f, t, a in map(read_snapshot, files)], key=lambda x: x[0])
 
 
-def write_verdicts(path, rows: list[VerdictRow]) -> None:
-    write_csv(path, ("check", "measured", "requirement", "passed"),
+def read_run(run_dir, config: SolverConfig) -> SimulationResult:
+    """The run's simulation; refused, naming the file, unless it is the one ``config`` asks for."""
+    d = Path(run_dir)
+    diag_path = d / DIAGNOSTICS_FILE
+    records = read_diagnostics(diag_path)
+    if not records or records[0].time != 0.0:
+        raise ValueError(f"{diag_path}: the first record must be at t = 0")
+    snaps = read_run_snapshots(d)
+    try:
+        result = SimulationResult(config, tuple((t, f) for t, f, _ in snaps), tuple(records))
+    except ValueError as e:  # the snapshot times are not the ones the config asks for
+        raise ValueError(f"{d}: {e}") from None
+    recorded = {r.time for r in records}
+    for t, f, a in snaps:
+        if t not in recorded:
+            raise ValueError(f"{diag_path}: no record at the snapshot time t = {t!r}")
+        if not abs(a - config.alpha) <= 1e-12:
+            raise ValueError(f"{d}: the snapshot at t = {t:.6g} has alpha {a}, {CONFIG_FILE} {config.alpha}")
+        if f.grid != config.grid:
+            raise ValueError(f"{d}: the snapshot at t = {t:.6g} is on {f.grid}, {CONFIG_FILE} on {config.grid}")
+    return result
+
+
+def write_verdicts(run_dir, rows: list[VerdictRow]) -> str:
+    """Write ``verdict.csv`` and the table of ``summary.txt``; returns the table."""
+    d = Path(run_dir)
+    write_csv(d / VERDICT_FILE, ("check", "measured", "requirement", "passed"),
               ([r.name, float(r.measured), r.requirement, int(r.passed)] for r in rows))
-
-
-def format_verdict_table(rows: list[VerdictRow]) -> str:
     name_w = max([len(r.name) for r in rows] + [5])
     req_w = max([len(r.requirement) for r in rows] + [11])
     lines = [f"{'check':<{name_w}}  {'measured':>12}  {'requirement':<{req_w}}  verdict"]
@@ -175,4 +205,6 @@ def format_verdict_table(rows: list[VerdictRow]) -> str:
             f"{r.name:<{name_w}}  {r.measured:>12.5g}  {r.requirement:<{req_w}}  "
             + ("pass" if r.passed else "FAIL")
         )
-    return "\n".join(lines)
+    table = "\n".join(lines)
+    (d / SUMMARY_FILE).write_text(table + "\n")
+    return table

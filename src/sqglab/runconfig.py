@@ -8,14 +8,15 @@ metadata; parsing and serializing are one loop over the fields, with one
 interpolation meaning, and on/off fields accept only on/off, true/false,
 yes/no and 1/0.  A section or key that no field names (``[DEFAULT]``
 included) is an error naming it; only the retired keys of ``_RETIRED`` are
-read and ignored.
+read and ignored.  ``parse_config_file`` names the file in its errors and
+makes a relative ``[initial_data] path`` absolute, beside the file.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .grid import GridSpec, RealField
@@ -78,8 +79,8 @@ class RunConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(grid=self.grid(), **{name: getattr(self, name) for name in _SOLVER_FIELDS})
 
-    def build_theta0(self, base_dir: Path | None = None) -> RealField:
-        return _BUILDERS[self.id_kind](self, self.grid(), base_dir)
+    def build_theta0(self) -> RealField:
+        return _BUILDERS[self.id_kind](self, self.grid())
 
 
 # the SolverConfig fields a RunConfig field of the same name sets (all but grid)
@@ -91,11 +92,8 @@ def _key(name: str) -> str:
     return ".".join(RunConfig.__dataclass_fields__[name].metadata["ini"])
 
 
-def _from_file(cfg: RunConfig, g: GridSpec, base_dir: Path | None) -> RealField:
-    path = Path(cfg.id_path)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    theta0, _, _ = read_snapshot(path)
+def _from_file(cfg: RunConfig, g: GridSpec) -> RealField:
+    theta0, _, _ = read_snapshot(cfg.id_path)
     if theta0.grid != g:
         raise ConfigError(
             f"{_key('id_path')}: field grid {theta0.grid.n}/{theta0.grid.box_length} "
@@ -104,19 +102,19 @@ def _from_file(cfg: RunConfig, g: GridSpec, base_dir: Path | None) -> RealField:
     return theta0
 
 
-# initial-data kind -> builder(cfg, grid, base_dir)
+# initial-data kind -> builder(cfg, grid)
 _BUILDERS = {
-    "gaussian": lambda c, g, _: _id.gaussian_bump(
+    "gaussian": lambda c, g: _id.gaussian_bump(
         g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
     ),
-    "compact_bump": lambda c, g, _: _id.compact_bump(
+    "compact_bump": lambda c, g: _id.compact_bump(
         g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
     ),
-    "power_tail": lambda c, g, _: _id.power_tail(
+    "power_tail": lambda c, g: _id.power_tail(
         g, c.id_amplitude, c.id_gamma, c.id_core if c.id_core > 0 else None, c.id_angular
     ),
     "from_file": _from_file,
-    "multiscale": lambda c, g, _: _id.multiscale_ladder(
+    "multiscale": lambda c, g: _id.multiscale_ladder(
         g, c.alpha, c.id_amplitude, n_scales=c.id_scales, lam_max=c.id_width
     )[0],
 }
@@ -139,9 +137,13 @@ _RANGES = (
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    # SolverConfig and GridSpec run their own validations; alpha must be in
-    # (1, 2) before the critical exponent below can be formed
-    cfg.solver_config()
+    # GridSpec and SolverConfig run their own validations, named here by
+    # section; alpha must be in (1, 2) before the critical exponent below can be formed
+    for section, build in (("grid", cfg.grid), ("solver", cfg.solver_config)):
+        try:
+            build()
+        except ValueError as e:
+            raise ConfigError(f"[{section}]: {e}") from None
     if cfg.id_kind not in _BUILDERS:
         raise ConfigError(f"{_key('id_kind')}: {cfg.id_kind!r} not one of {tuple(_BUILDERS)}")
     if cfg.id_kind == "power_tail" and not cfg.id_gamma > cfg.alpha - 1.0:
@@ -233,7 +235,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def parse_config_file(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    path = Path(path)
+    try:
+        cfg = parse_config(path.read_text())
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    if cfg.id_path and not Path(cfg.id_path).is_absolute():
+        cfg = replace(cfg, id_path=str(path.parent.absolute() / cfg.id_path))
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:

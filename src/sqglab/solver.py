@@ -55,7 +55,8 @@ def critical_exponent(alpha: float) -> float:
     return 2.0 / (alpha - 1.0)
 
 
-# the most steps an IF-RK4 config may plan, ceil(t_end/dt); the shipped runs plan at most 100
+# the most steps an IF-RK4 config may plan, ceil(t_end/dt), and a run may take with its
+# CFL steps; the shipped runs plan at most 100
 MAX_STEPS = 10**6
 
 
@@ -327,6 +328,10 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
             dt = min(config.dt, target - t)
             if config.nonlinear:
                 dt = min(dt, st.cfl_dt(rec, config.cfl_safety))
+            # the steps taken (one record each after t = 0) plus (target - t)/dt, without dividing by dt
+            if target - t > (MAX_STEPS - (len(records) - 1)) * dt:
+                raise ValueError(f"at t = {t:.6g} the CFL step dt = {dt:.3g} leaves more than "
+                                 f"{MAX_STEPS} IF-RK4 steps to t = {target:.6g}")
             theta = None  # the last record's theta is not needed during the step
             th_hat = st.step(th_hat, dt)
             t += dt

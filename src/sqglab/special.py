@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -66,19 +67,22 @@ def singular_time_convolution(a: float, b: float, t: float) -> float:
     """
     if not (0 <= a < 1 and 0 <= b < 1):
         raise ValueError(f"exponents must lie in [0,1), got a={a}, b={b}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not t >= sys.float_info.min:  # a subnormal t/2 loses the substitutions' nodes
+        raise ValueError(f"t must be at least {sys.float_info.min!r}, got {t!r}")
     half = t / 2
     total = 0.0
-    # s in [0, t/2]: substitute s = half * u^(1/(1-b))
-    qb = 1.0 / (1.0 - b)
     u, w = _gauss_panels(np.linspace(0.0, 1.0, 9), 48)
-    s = half * u**qb
-    total += float(np.sum((t - s) ** (-a) * half**(1 - b) * qb * u ** (qb * (1 - b) - 1) * w))
-    # s in [t/2, t]: substitute t - s = half * u^(1/(1-a))
-    qa = 1.0 / (1.0 - a)
-    s = t - half * u**qa
-    total += float(np.sum(s ** (-b) * half**(1 - a) * qa * u ** (qa * (1 - a) - 1) * w))
+    with np.errstate(over="ignore", invalid="ignore"):  # a result beyond the float range is refused below
+        # s in [0, t/2]: substitute s = half * u^(1/(1-b))
+        qb = 1.0 / (1.0 - b)
+        s = half * u**qb
+        total += float(np.sum((t - s) ** (-a) * half**(1 - b) * qb * u ** (qb * (1 - b) - 1) * w))
+        # s in [t/2, t]: substitute t - s = half * u^(1/(1-a))
+        qa = 1.0 / (1.0 - a)
+        s = t - half * u**qa
+        total += float(np.sum(s ** (-b) * half**(1 - a) * qa * u ** (qa * (1 - a) - 1) * w))
+    if not math.isfinite(total):
+        raise ValueError(f"the convolution at a = {a!r}, b = {b!r}, t = {t!r} is beyond the float range")
     return total
 
 

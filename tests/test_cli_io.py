@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sqglab
 import sqglab.verify as _verify
@@ -164,7 +165,7 @@ class TestRunConfig:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text)
         assert run_cli("simulate", "--config", cfgfile) == 2
-        assert f"error: verification.{key}: {float(value)!r} must be finite and" in capsys.readouterr().err
+        assert f"error: {cfgfile}: verification.{key}: {float(value)!r} must be finite and" in capsys.readouterr().err
 
     def test_power_tail_alpha_one_names_alpha(self):
         # the solver's alpha range is checked before the critical exponent
@@ -553,12 +554,18 @@ class TestSimulateCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "div").exists()
 
-    @pytest.mark.parametrize("dt, t_end", [("1e-300", "1.0"), ("0.05", "1e12")])
-    def test_step_budget_exit_two(self, tmp_path, dt, t_end):
-        # t + 1e-300 == t, and 2e13 steps do not end either: refused before any work
+    @pytest.mark.parametrize("dt, t_end, amplitude, named", [
+        ("1e-300", "1.0", "0.4", "dt = 1e-300 and t_end = 1.0 plan more than"),
+        ("0.05", "1e12", "0.4", "dt = 0.05 and t_end = 1000000000000.0 plan more than"),
+        ("0.05", "0.3", "1e70", f"at t = 0 the CFL step dt = 1.18e-70 leaves more than {MAX_STEPS} IF-RK4 steps"),
+    ])
+    def test_step_budget_exit_two(self, tmp_path, dt, t_end, amplitude, named):
+        # t + 1e-300 == t, and 2e13 steps do not end either: refused before any work;
+        # a 1e70 bump plans 6 steps, but its CFL step is about 1e-70: refused before the first
         out = tmp_path / "o"
         cfgfile = tmp_path / "run.cfg"
         text = BASE_CONFIG.format(out=out).replace("n = 64", "n = 16").replace("dt = 0.05", f"dt = {dt}")
+        text = text.replace("amplitude = 0.4", f"amplitude = {amplitude}")
         cfgfile.write_text(text.replace("t_end = 0.3", f"t_end = {t_end}"))
         src = str(Path(sqglab.__file__).parents[1])
         proc = subprocess.run(
@@ -567,8 +574,19 @@ class TestSimulateCli:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert f"dt = {float(dt)!r} and t_end = {float(t_end)!r}" in proc.stderr
+        assert named in proc.stderr
         assert not out.exists()
+
+    def test_out_is_not_an_option(self, tmp_path, capsys):
+        # [output] directory alone names the run directory
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "o"))
+        with pytest.raises(SystemExit) as ei:
+            run_cli("simulate", "--config", cfgfile, "--out", tmp_path / "x")
+        assert ei.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not any(p.name in ("o", "x") for p in tmp_path.iterdir())
+        assert list(inspect.signature(RunConfig.build_theta0).parameters) == ["self"]
 
     @pytest.mark.parametrize("where", ["sqglab.runconfig.RunConfig.build_theta0", "sqglab.cli.run_simulation"])
     def test_out_of_memory_names_grid_n(self, tmp_path, capsys, monkeypatch, where):
@@ -602,11 +620,14 @@ class TestVerifyCli:
         assert (linear_run_dir / "verdict.csv").exists()
         assert (linear_run_dir / "summary.txt").exists()
 
-    def test_missing_snapshots_named(self, linear_run_dir, capsys):
-        for f in linear_run_dir.glob("snapshot_*.sqgf"):
+    @pytest.mark.parametrize("pattern", ["snapshot_*.sqgf", "config.cfg", "diagnostics.csv"])
+    def test_missing_run_file_named(self, linear_run_dir, capsys, pattern):
+        for f in linear_run_dir.glob(pattern):
             f.unlink()
         assert run_cli("verify", "--run", linear_run_dir) == 2
-        assert "snapshot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        named = linear_run_dir / pattern if "*" not in pattern else f"no snapshot files found in {linear_run_dir}"
+        assert err.startswith("error: ") and str(named) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["--checks", "verification.checks"])
     def test_empty_check_selection_named(self, linear_run_dir, capsys, where):
@@ -751,6 +772,16 @@ class TestKernelCli:
             run_cli("kernel", "--alpha", 1.5, "--r-max", 100, "--out", tmp_path)
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("values, named", [
+        (lambda r: 1.0 - r, "kernel profile lost positivity"),
+        (lambda r: 1.0 + r, "kernel profile lost monotonicity"),
+    ])
+    def test_profile_refusals_exit_two(self, tmp_path, capsys, monkeypatch, values, named):
+        # a tolerance no other test asks for, so no cached table is returned
+        monkeypatch.setattr("sqglab.kernel._radial_value", lambda alpha, radii, order=None: values(radii))
+        assert run_cli("kernel", "--alpha", 1.5, "--tol", "7e-6", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     def test_unreachable_tolerance_exit_two(self, tmp_path, capsys):
         assert run_cli("kernel", "--alpha", 1.5, "--tol", "1e-20", "--out", tmp_path) == 2
         err = capsys.readouterr().err
@@ -789,6 +820,14 @@ def test_cli_restates_no_solver_rule():
     private = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "solver"
                for a in n.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_cli_names_no_run_directory_file():
+    # the run directory's layout is io's alone
+    tree = ast.parse((Path(sqglab.__file__).parent / "cli.py").read_text())
+    texts = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    for name in ("config.cfg", "diagnostics.csv", "verdict.csv", "summary.txt", "snapshot_"):
+        assert [t for t in texts if name in t] == []
 
 
 @pytest.mark.parametrize("args, option", [
@@ -864,9 +903,10 @@ def _exit_and_stderr(argv):
     return rc, err.getvalue()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning is a fault, not a message
 class TestNumericOptionProperties:
     """Whatever a numeric option of the fast verbs holds, the exit is 0, 1 or 2
-    with a message, never an internal error or a traceback."""
+    with a message, never an internal error, a traceback or a warning."""
 
     @pytest.fixture(scope="class")
     def fit_run(self, tmp_path_factory):
@@ -879,6 +919,7 @@ class TestNumericOptionProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(argv=_SPECIAL_ARGV)
+    @example(argv=["conv", "--a", "0.5", "--b", "0.999", "--t", "5e-324"])
     def test_special(self, argv):
         rc, err = _exit_and_stderr(["special", *argv])
         assert rc in (0, 1, 2), err
@@ -917,6 +958,10 @@ class TestSpecialCli:
         # q = alpha/(alpha-1) is so large that the substitutions underflow to 0/0
         (("radial-integral", "--alpha", "1.0000000000000002", "--beta-param", 1, "--n-points", 2),
          "alpha = 1.0000000000000002"),
+        # a subnormal t/2 loses the quadrature's nodes: nan, or 0 against a closed form of 4.67e-32
+        (("conv", "--a", 0.5, "--b", 0.999, "--t", "5e-324"), "t must be at least 2.2250738585072014e-308"),
+        (("conv", "--a", 0.9, "--b", 0, "--t", "5e-324"), "got 5e-324"),
+        (("conv", "--a", 0.999, "--b", 0.999, "--t", "2.3e-308"), "t = 2.3e-308 is beyond the float range"),
     ])
     @pytest.mark.filterwarnings("error")  # a numpy warning would end the run as an internal error
     def test_unrepresentable_result_named_exit_two(self, capsys, argv, named):
@@ -1085,6 +1130,38 @@ class TestRunDirectoryFaults:
         assert run_cli("verify", "--run", run, "--checks", check) == 2
         assert f"{run}: the snapshot at t = 0.3 {named}" in capsys.readouterr().err
 
+    def test_above_critical_negative_datum_exit_two(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        snaps = small_run(tmp_path, run)
+        rewrite_last_snapshot(snaps[:1], centre=-1e-3)  # the t = 0 snapshot
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", "above_critical") == 2
+        assert capsys.readouterr().err == "error: the comparability check requires nonnegative initial data\n"
+
+    def test_above_critical_without_snapshots_up_to_T_exit_two(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        small_run(tmp_path, run)  # snapshots at 0.1 and 0.3
+        cfg = run / "config.cfg"
+        cfg.write_text(cfg.read_text().replace("above_critical_T = 5.0", "above_critical_T = 0.05"))
+        capsys.readouterr()
+        assert run_cli("verify", "--run", run, "--checks", "above_critical") == 2
+        assert capsys.readouterr().err == "error: no snapshots in (0, T]\n"
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("alpha = 1.5", "alpha = 2.5", "[solver]: solver requires alpha in (1, 2), got 2.5"),
+        ("n = 16", "n = 17", "[grid]: grid size must be even"),
+    ])
+    @pytest.mark.parametrize("argv", [("verify", "--run", "run"), ("simulate", "--config", "run/config.cfg")])
+    def test_config_error_names_file_and_section(self, tmp_path, capsys, monkeypatch, old, new, named, argv):
+        monkeypatch.chdir(tmp_path)
+        small_run(tmp_path, Path("run"))
+        cfg = Path("run", "config.cfg")
+        cfg.write_text(cfg.read_text().replace(old, new))
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {named}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("check", ["ratio", "max_principle", "gradients"])
     def test_missing_t0_snapshot_exit_two(self, tmp_path, capsys, check):
         run = tmp_path / "run"
@@ -1219,17 +1296,28 @@ class TestFromFileInitialData:
         assert not (tmp_path / "ff").exists()  # a refused datum leaves no output directory
 
     def test_relative_path_is_read_beside_the_config(self, tmp_path, monkeypatch):
-        g = GridSpec(64, 20.0)
-        seed = RealField(g, np.random.default_rng(0).random(g.shape))
+        # and written back absolute, so the run's config.cfg re-runs it from anywhere
+        g = GridSpec(16, 20.0)
+        seed = RealField(g, np.random.default_rng(1).random(g.shape))
         write_snapshot(tmp_path / "seed.sqgf", seed, t=0.0, alpha=1.5)
         cfgfile = tmp_path / "ff.cfg"
-        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "ff").replace(
+        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "ff").replace("n = 64", "n = 16").replace(
             "kind = gaussian", "kind = from_file\npath = seed.sqgf"))
-        (tmp_path / "elsewhere").mkdir()
+        for d in ("elsewhere", "other"):
+            (tmp_path / d).mkdir()
         monkeypatch.chdir(tmp_path / "elsewhere")
         assert run_cli("simulate", "--config", cfgfile) == 0
-        first = sorted((tmp_path / "ff").glob("snapshot_*.sqgf"))[0]
-        assert np.array_equal(read_snapshot(first)[0].values, seed.values)
+        text = (tmp_path / "ff" / "config.cfg").read_text()
+        assert f"path = {tmp_path / 'seed.sqgf'}\n" in text
+        monkeypatch.chdir(tmp_path / "other")
+        again = tmp_path / "other" / "config.cfg"
+        again.write_text(text.replace(f"directory = {tmp_path / 'ff'}", f"directory = {tmp_path / 'again'}"))
+        assert run_cli("simulate", "--config", again) == 0
+        first = sorted((tmp_path / "ff").glob("snapshot_*.sqgf"))
+        second = sorted((tmp_path / "again").glob("snapshot_*.sqgf"))
+        assert [p.name for p in first] == [p.name for p in second] and len(first) == 3
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(first, second))
+        assert np.array_equal(read_snapshot(first[0])[0].values, seed.values)
 
     def test_seed_off_the_grid_named(self, tmp_path, capsys):
         g = GridSpec(32, 20.0)

@@ -173,6 +173,13 @@ class TestSemigroupOrbit:
         assert got == want
 
 
+def test_ladder_tie_phase_without_crossing_is_value_error(monkeypatch):
+    # a flat orbit never reaches the per-stair ratio, so no phase ties
+    monkeypatch.setattr(initial_data, "semigroup_orbit", lambda f, times, alpha: (f for _ in times))
+    with pytest.raises(ValueError, match="no tie phase found"):
+        initial_data.ladder_tie_phase(1.5, 3.0)
+
+
 class TestRiesz:
     def test_quarter_turn_on_harmonic(self, grid_2pi):
         f = sine_field(grid_2pi)

@@ -612,6 +612,11 @@ class TestGuards:
             run_simulation(cfg_for(g, scheme=scheme), RealField(g, values))
         assert calls == []  # refused before the first transform
 
+    def test_initial_data_off_the_grid_refused(self):
+        g = GridSpec(16, 5.0)
+        with pytest.raises(ValueError, match="initial data grid does not match configuration"):
+            run_simulation(cfg_for(g), RealField(GridSpec(16, 10.0), np.zeros(g.shape)))
+
     def test_blow_up_guard(self, grid128):
         # overflow in the quadratic term surfaces as a blow-up error after the
         # one step, far below the CFL limit, that reaches t_end

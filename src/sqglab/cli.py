@@ -35,17 +35,18 @@ INTERNAL_ERROR = 3
 
 
 def _cmd_kernel(args) -> int:
+    profile = _kernel.build_profile(args.alpha, tol=args.tol)
+    with np.errstate(over="ignore"):  # a bound near the float limit may round to inf, which the sweep refuses
+        ts = np.geomspace(args.t_min, args.t_max, 13)
+        rs = np.concatenate([[0.0], np.geomspace(1e-2, args.x_max, 40)])
+    ratios = _kernel.estimate_ratios(profile, ts, rs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    profile = _kernel.build_profile(args.alpha, tol=args.tol)
     ppath = out / f"profile_a{args.alpha:.4g}.sqgk"
     _kernel.save_profile(profile, ppath)
     mass = profile.total_mass()
     print(f"profile alpha={args.alpha} r_max={profile.r_max:.4g} mass={mass:.12f} -> {ppath}")
     sweep_path = out / f"estimate_sweep_a{args.alpha:.4g}.csv"
-    ts = np.geomspace(args.t_min, args.t_max, 13)
-    rs = np.concatenate([[0.0], np.geomspace(1e-2, args.x_max, 40)])
-    ratios = _kernel.estimate_ratios(profile, ts, rs)
     write_csv(sweep_path, ("t", "r", "ratio"),
               ([float(t), float(r), float(q)] for t, row in zip(ts, ratios) for r, q in zip(rs, row)))
     print(f"two-sided ratio over sweep: [{ratios.min():.6g}, {ratios.max():.6g}] -> {sweep_path}")
@@ -196,6 +197,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "kernel" and not args.t_min < args.t_max:
         parser.error(f"--t-min {args.t_min} must lie below --t-max {args.t_max}")
+    if args.command == "fit" and not args.t_lo < args.t_hi:
+        parser.error(f"--t-lo {args.t_lo} must lie below --t-hi {args.t_hi}")
     if getattr(args, "what", None) == "tgamma" and not args.gamma < 1 / args.alpha:
         parser.error(f"--gamma {args.gamma} must lie below 1/alpha = {1 / args.alpha:.6g}")
     try:

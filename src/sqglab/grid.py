@@ -38,8 +38,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 16 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 16, got {self.n}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+        # every norm weighs by the cell area dx^2 and no multiplier exceeds 2 (pi/dx)^2,
+        # so a spacing within a factor 1e150 of 1 keeps both normal floats
+        if not 1e-150 < self.box_length / self.n < 1e150:
+            raise ValueError(f"box_length / n must lie in (1e-150, 1e150), got {self.box_length!r} / {self.n}")
 
     @property
     def dx(self) -> float:

@@ -263,7 +263,8 @@ class KernelProfile:
         # six nodes are the fewest a quintic interpolating spline takes
         if radii.ndim != 1 or len(radii) < 6 or values.shape != radii.shape:
             raise ValueError(f"need at least 6 radii and as many values, got {radii.shape} and {values.shape}")
-        if radii[0] != 0.0 or not np.all(np.diff(radii) > 0) or not np.isfinite(radii[-1]):
+        # compared, not differenced: a damaged file's radii may overflow a difference
+        if radii[0] != 0.0 or not np.all(radii[1:] > radii[:-1]) or not np.isfinite(radii[-1]):
             raise ValueError("radii must start at 0 and increase strictly to a finite r_max")
         if radii[-1] != self.r_max:
             raise ValueError(f"last radius {radii[-1]} is not r_max = {self.r_max}")
@@ -446,11 +447,20 @@ def kernel_derivative_eval(dprofile: KernelDerivativeProfile, t: float, x) -> np
 
 
 def estimate_ratios(profile: KernelProfile, t_set: Sequence[float], r: np.ndarray) -> np.ndarray:
-    """p(t,r) (t^(1/a)+r)^(2+a) / t for every t of ``t_set`` (rows) and radius r (columns)."""
+    """
+    p(t,r) (t^(1/a)+r)^(2+a) / t for every t of ``t_set`` (rows) and radius r
+    (columns); a (t, r) whose factors leave the float range raises ValueError.
+    """
     a = profile.alpha
     r = np.asarray(r, dtype=float)
-    return np.array([kernel_eval_radial(profile, t, r) * (t ** (1.0 / a) + r) ** (2.0 + a) / t
-                     for t in np.asarray(t_set, dtype=float)])
+    t_set = np.asarray(t_set, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.array([kernel_eval_radial(profile, t, r) * (t ** (1.0 / a) + r) ** (2.0 + a) / t for t in t_set])
+    bad = np.argwhere(~np.isfinite(ratios))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"estimate ratio at t = {t_set[i]:.3g}, r = {r[j]:.3g} leaves the float range")
+    return ratios
 
 
 def check_two_sided_estimate(

@@ -7,14 +7,15 @@ metadata; parsing and serializing are one loop over the fields, with one
 (parse, format) pair per field type.  Values are literal: ``%`` has no
 interpolation meaning, and on/off fields accept only on/off, true/false,
 yes/no and 1/0.  A section or key that no field names (``[DEFAULT]``
-included) is an error naming it; only the retired keys of ``_RETIRED`` are
-read and ignored.  ``parse_config_file`` names the file in its errors and
-makes a relative ``[initial_data] path`` absolute, beside the file.
+included) is an error naming it; a key of ``_RETIRED`` is read and ignored,
+if it holds its fixed value.  ``parse_config_file`` names the file in its
+errors and makes a relative ``[initial_data] path`` absolute, beside the file.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -22,8 +23,8 @@ from pathlib import Path
 from .grid import GridSpec, RealField
 from . import initial_data as _id
 from .io import read_snapshot
-from .solver import DECAY_QUANTITIES, SolverConfig, critical_exponent
-from .verify import CHECKS
+from .solver import CFL_SAFETY, DECAY_QUANTITIES, SolverConfig, critical_exponent
+from .verify import CHECKS, FLOOR_FRAC, RATIO_ALARM, WINDOW_FRACTION
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config"]
 
@@ -44,9 +45,7 @@ class RunConfig:
     dt: float = _ini("solver", "dt", 0.2)
     t_end: float = _ini("solver", "t_end", 1.0)
     scheme: str = _ini("solver", "scheme", SolverConfig.scheme)
-    dealias: bool = _ini("solver", "dealias", SolverConfig.dealias)
     nonlinear: bool = _ini("solver", "nonlinear", SolverConfig.nonlinear)
-    cfl_safety: float = _ini("solver", "cfl_safety", SolverConfig.cfl_safety)
     snapshot_times: tuple[float, ...] = _ini("solver", "snapshot_times", SolverConfig.snapshot_times)
     id_kind: str = _ini("initial_data", "kind", "gaussian")
     id_amplitude: float = _ini("initial_data", "amplitude", 0.25)
@@ -62,13 +61,9 @@ class RunConfig:
     checks: tuple[str, ...] = _ini(
         "verification", "checks", ("max_principle", "mass_conservation", "ratio", "limits")
     )
-    window_fraction: float = _ini("verification", "window_fraction", 0.25)
-    floor_frac: float = _ini("verification", "floor_frac", 1e-3)
     dev_threshold: float = _ini("verification", "dev_threshold", 0.05)
-    ratio_alarm: float = _ini("verification", "ratio_alarm", 10.0)
     slope_quantities: tuple[str, ...] = _ini("verification", "slope_quantities", ())
     slope_t_lo: float = _ini("verification", "slope_t_lo", 0.0)
-    slope_t_hi: float = _ini("verification", "slope_t_hi", 0.0)
     slope_tolerance: float = _ini("verification", "slope_tolerance", 0.05)
     above_critical_p: float = _ini("verification", "above_critical_p", 6.0)
     above_critical_T: float = _ini("verification", "above_critical_T", 5.0)
@@ -122,14 +117,10 @@ _BUILDERS = {
 
 # [verification] field -> (its range, as errors word it; test of a finite value and the config)
 _RANGES = (
-    ("window_fraction", "in (0, 0.5]", lambda v, c: 0 < v <= 0.5),
-    ("floor_frac", "in (0, 1]", lambda v, c: 0 < v <= 1),
     ("dev_threshold", "> 0", lambda v, c: v > 0),
     ("slope_tolerance", "> 0", lambda v, c: v > 0),
     ("above_critical_T", "> 0", lambda v, c: v > 0),
-    ("ratio_alarm", "> 1", lambda v, c: v > 1),
     ("slope_t_lo", ">= 0", lambda v, c: v >= 0),
-    ("slope_t_hi", "0 (open above) or > slope_t_lo", lambda v, c: v == 0 or v > c.slope_t_lo),
     # the default 6 lies below 2/(alpha-1) for alpha <= 4/3, so it binds only where the check runs
     ("above_critical_p", "> the critical power 2/(alpha-1) when above_critical is checked",
      lambda v, c: v > critical_exponent(c.alpha) or "above_critical" not in c.checks),
@@ -196,12 +187,17 @@ _CODECS = {
 }
 
 
-# keys a former RunConfig read, accepted and ignored so that old run directories load
-_RETIRED = (("initial_data", "seed"),)
+# keys a former RunConfig read, ignored so old run directories load: seed at any value, the rest only as fixed
+_RETIRED = {
+    ("initial_data", "seed"): None,
+    ("solver", "dealias"): True, ("solver", "cfl_safety"): CFL_SAFETY,
+    ("verification", "window_fraction"): WINDOW_FRACTION, ("verification", "floor_frac"): FLOOR_FRAC,
+    ("verification", "ratio_alarm"): RATIO_ALARM, ("verification", "slope_t_hi"): 0.0,
+}
 
 
 def _reject_unknown(cp: configparser.ConfigParser) -> None:
-    """Every section and key of the text must be a RunConfig field's (or retired)."""
+    """Every section and key of the text must be a RunConfig field's, or retired and at its value."""
     names = [f.metadata["ini"] for f in fields(RunConfig)] + list(_RETIRED)
     known = {(section, cp.optionxform(key)) for section, key in names}
     given = [(cp.default_section, key) for key in cp.defaults()]
@@ -212,6 +208,15 @@ def _reject_unknown(cp: configparser.ConfigParser) -> None:
     for section in cp.sections():
         if section not in {s for s, _ in names}:
             raise ConfigError(f"[{section}]: unknown section")
+    for (section, key), fixed in _RETIRED.items():
+        if fixed is None or not cp.has_option(section, key):
+            continue
+        parse, fmt = _CODECS[type(fixed).__name__]
+        raw = cp.get(section, key)
+        with contextlib.suppress(ValueError):
+            if parse(raw) == fixed:
+                continue
+        raise ConfigError(f"{section}.{key}: retired key, accepted only as {fmt(fixed)}, got {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -58,6 +58,8 @@ def critical_exponent(alpha: float) -> float:
 # the most steps an IF-RK4 config may plan, ceil(t_end/dt), and a run may take with its
 # CFL steps; the shipped runs plan at most 100
 MAX_STEPS = 10**6
+# an IF-RK4 step is at most CFL_SAFETY dx / max|R_perp theta| of the record before it
+CFL_SAFETY = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,7 @@ class SolverConfig:
     t_end: float
     grid: GridSpec
     scheme: str = "ifrk4"
-    dealias: bool = True
     snapshot_times: tuple[float, ...] = ()
-    cfl_safety: float = 0.5
     nonlinear: bool = True
 
     def __post_init__(self) -> None:
@@ -80,8 +80,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0 <= self.t_end < np.inf:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("ifrk4", "picard"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # ceil(t_end/dt) > MAX_STEPS exactly when t_end/dt > MAX_STEPS; an overflow to inf is refused too
@@ -152,12 +150,12 @@ class _Stepper:
     """
     IF-RK4 workspace for one (grid, alpha) pair on the grid's shared rfft2
     table.  The flux divergence uses two precomputed multipliers,
-    mx = i kx and my = -i ky on the 2/3-rule band and 0 off it (on every
-    mode without ``dealias``): with u = R_perp theta = (-R2 theta, R1 theta),
+    mx = i kx and my = -i ky on the 2/3-rule band and 0 off it: with
+    u = R_perp theta = (-R2 theta, R1 theta),
     -div(u theta) = mx F(R2 theta * theta) + my F(R1 theta * theta), so the
     output mask and both signs come with the products.  Every array of the
-    flux lives in the leading ``cols`` ky columns (the band with ``dealias``),
-    so the flux and the stage arithmetic of ``step`` run on (n, cols) blocks.
+    flux lives in the band's ``cols`` leading ky columns, so the flux and
+    the stage arithmetic of ``step`` run on (n, cols) blocks.
 
     The stepper owns its buffers and allocates them once: ``half`` (a
     full-width half plane, the kx-pass input of every inverse and the output
@@ -168,17 +166,15 @@ class _Stepper:
     ``nonlinear`` and the theta from ``diagnostics`` are fresh arrays.
     """
 
-    def __init__(self, grid: GridSpec, alpha: float, dealias: bool = True, nonlinear: bool = True):
+    def __init__(self, grid: GridSpec, alpha: float, nonlinear: bool = True):
         self.grid = grid
         self.p_crit = critical_exponent(alpha)
         self.sp = sp = _Spectra.of(grid)
-        self.dealias = dealias
-        self.cols = c = sp.band_cols if dealias else sp.half_cols
+        self.cols = c = sp.band_cols
         self.nonlinear_enabled = nonlinear
         self.symbol = sp.kmod**alpha
-        band = sp.dealias_mask if dealias else True
-        self.mx = np.where(band, 1j * sp.kx_odd, 0.0)[:, :c].copy()
-        self.my = np.where(band, -1j * sp.ky_odd, 0.0)[:, :c].copy()
+        self.mx = np.where(sp.dealias_mask, 1j * sp.kx_odd, 0.0)[:, :c].copy()
+        self.my = np.where(sp.dealias_mask, -1j * sp.ky_odd, 0.0)[:, :c].copy()
         self.off_band = ~sp.dealias_mask[:, :c]
         self.half = np.empty(self.symbol.shape, dtype=complex)
         self.u = np.empty(grid.shape)
@@ -188,7 +184,10 @@ class _Stepper:
         self._exp_cache: tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def diagnostics(self, th_hat: np.ndarray, t: float) -> tuple[DiagnosticRecord, RealField]:
-        """The record of ``th_hat`` at time t, whose riesz_linf sets the CFL limit, and theta."""
+        """
+        The record of ``th_hat`` at time t, whose riesz_linf sets the CFL
+        limit, and theta; a record with a non-finite norm raises BlowUpError.
+        """
         sp, half, u, dx = self.sp, self.half, self.u, self.grid.dx
         theta = np.empty(self.grid.shape)
         np.copyto(half, th_hat)
@@ -205,6 +204,9 @@ class _Stepper:
             riesz_linf=max(riesz),
             mean=float(theta.mean()),
         )
+        bad = [name for name, v in vars(rec).items() if not math.isfinite(v)]
+        if bad:
+            raise BlowUpError(f"non-finite {', '.join(bad)} at t={t:.6g}")
         return rec, RealField(self.grid, theta)
 
     def nonlinear(self, th_hat: np.ndarray) -> np.ndarray:
@@ -218,8 +220,7 @@ class _Stepper:
     def _flux(self, stage: np.ndarray, k: np.ndarray) -> None:
         """The flux of the block ``stage`` into the block ``k``; masks ``stage`` in place."""
         sp, c, half = self.sp, self.cols, self.half
-        if self.dealias:
-            np.copyto(stage, 0.0, where=self.off_band)
+        np.copyto(stage, 0.0, where=self.off_band)
         half[:, c:] = 0.0
         half[:, :c] = stage
         theta = sp.inverse_into(half, c, self.theta)
@@ -282,22 +283,25 @@ class _Stepper:
         new[:, :c] += k1
         return new
 
-    def cfl_dt(self, rec: DiagnosticRecord, cfl_safety: float) -> float:
+    def cfl_dt(self, rec: DiagnosticRecord) -> float:
         if rec.riesz_linf <= 0:
             return np.inf
-        return cfl_safety * self.grid.dx / rec.riesz_linf
+        return CFL_SAFETY * self.grid.dx / rec.riesz_linf
 
 
-def nonlinear_term(theta: RealField, alpha: float, dealias: bool = True) -> RealField:
+def nonlinear_term(theta: RealField, alpha: float) -> RealField:
     """
     N(theta) = -div(R_perp(theta) * theta) on the grid.  The divergence form
     is exact here because R_perp(theta) is divergence-free, and it conserves
     the grid mean identically.
     """
-    st = _Stepper(theta.grid, alpha, dealias)
+    st = _Stepper(theta.grid, alpha)
     return RealField(theta.grid, st.sp.inverse(st.nonlinear(st.sp.forward(theta.values))))
 
 
+# an overflow surfaces as a non-finite record, which BlowUpError reports; numpy's
+# warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
     """
     Integrate to t_end, landing exactly on every snapshot time: IF-RK4 in
@@ -308,7 +312,7 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
         raise ValueError("initial data grid does not match configuration")
     if not np.all(np.isfinite(theta0.values)):
         raise ValueError("initial data contains non-finite values")
-    st = _Stepper(config.grid, config.alpha, config.dealias, config.nonlinear)
+    st = _Stepper(config.grid, config.alpha, config.nonlinear)
     th_hat = st.sp.forward(theta0.values)
     t = 0.0
     rec, theta = st.diagnostics(th_hat, t)
@@ -327,7 +331,7 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
         while t < target - 1e-13 * min(1.0, target):
             dt = min(config.dt, target - t)
             if config.nonlinear:
-                dt = min(dt, st.cfl_dt(rec, config.cfl_safety))
+                dt = min(dt, st.cfl_dt(rec))
             # the steps taken (one record each after t = 0) plus (target - t)/dt, without dividing by dt
             if target - t > (MAX_STEPS - (len(records) - 1)) * dt:
                 raise ValueError(f"at t = {t:.6g} the CFL step dt = {dt:.3g} leaves more than "
@@ -337,8 +341,6 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
             t += dt
             rec, theta = st.diagnostics(th_hat, t)
             records.append(rec)
-            if not np.isfinite(rec.linf):
-                raise BlowUpError(f"non-finite field at t={t:.6g}")
         snaps.append((t, theta))
     return SimulationResult(config, tuple(snaps), tuple(records))
 
@@ -397,7 +399,7 @@ def picard_iterate(
     """
     if abs(time_grid.t_end - t) > 1e-12 * max(1.0, t):
         raise ValueError("time_grid horizon does not match the requested t")
-    st = _Stepper(config.grid, config.alpha, config.dealias, config.nonlinear)
+    st = _Stepper(config.grid, config.alpha, config.nonlinear)
     nodes = np.concatenate([[0.0], np.asarray(time_grid.nodes), [t]])
     mu = st.symbol
     th0_hat = st.sp.forward(theta0.values)

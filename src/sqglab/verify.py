@@ -3,13 +3,15 @@ Numerical diagnostics for the pointwise-comparability, limit, gradient-bound,
 and decay-exponent statements, evaluated on simulation snapshots.
 
 Every diagnostic is a pure function of the snapshot data.  Thresholds are
-harness configuration, not claims: the underlying statements assert existence
+harness settings, not claims: the underlying statements assert existence
 of constants and vanishing limits, so the checks report window suprema,
-monotone trends against a configured threshold, and least-squares exponents
-with their standard errors.  The ratio, limits, gradients and above_critical
+monotone trends against a threshold, and least-squares exponents with their
+standard errors.  The ratio, limits, gradients and above_critical
 comparisons with a semigroup reference share one window rule
 (``_window_quotient``).  ``CHECKS`` maps each check name a run configuration
-may select to the function that makes its verdict rows.
+may select to the function that makes its verdict rows.  The checks use the
+acceptance criteria's window |x| <= L/4, floor and sup/inf alarm (the
+constants below); the public functions take a window and floor as given.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ __all__ = [
     "CHECKS",
     "run_checks",
 ]
+
+WINDOW_FRACTION = 0.25
+FLOOR_FRAC = 1e-3
+RATIO_ALARM = 10.0
 
 T_TO_0 = "T_TO_0"
 T_TO_INF = "T_TO_INF"
@@ -121,7 +127,7 @@ def ratio_diagnostics(
     theta_t: RealField,
     p_t_theta0: RealField,
     window_radius: float,
-    floor_frac: float = 1e-3,
+    floor_frac: float = FLOOR_FRAC,
     time: float = math.nan,
 ) -> RatioDiagnostic:
     """Window sup/inf of theta / P_t(theta0) with a relative denominator floor."""
@@ -157,7 +163,7 @@ def limit_scan(
     result: SimulationResult,
     mode: str,
     window_radius: float,
-    floor_frac: float = 1e-3,
+    floor_frac: float = FLOOR_FRAC,
     threshold: float = 0.05,
     annuli: Sequence[float] | None = None,
     t_min: float = 0.0,
@@ -218,7 +224,7 @@ def gradient_bound_diag(
     t: float,
     alpha: float,
     window_radius: float,
-    floor_frac: float = 1e-3,
+    floor_frac: float = FLOOR_FRAC,
 ) -> float:
     """sup over the window of t^(|kappa|/alpha) |grad^kappa theta| / P_t|theta0|."""
     if kappa.order > 2:
@@ -288,7 +294,7 @@ def above_critical_local_check(
     p_exp: float,
     T: float,
     window_radius: float,
-    floor_frac: float = 1e-3,
+    floor_frac: float = FLOOR_FRAC,
 ) -> list[RatioDiagnostic]:
     """
     Local-in-time comparability for data in L^p with p above the critical
@@ -333,7 +339,7 @@ def expected_decay_exponent(quantity: str, alpha: float, p: float = math.inf, ka
 
 
 def _window(cfg: RunConfig) -> float:
-    return cfg.window_fraction * cfg.box_length
+    return WINDOW_FRACTION * cfg.box_length
 
 
 def _positive_times(result: SimulationResult, check: str) -> list[float]:
@@ -372,15 +378,15 @@ def _worst_ratio(diags: Iterable[RatioDiagnostic]) -> float:
 
 def _check_ratio(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     _positive_times(result, "ratio")
-    worst = _worst_ratio(ratio_diagnostics(th, pt, _window(cfg), cfg.floor_frac, time=t)
+    worst = _worst_ratio(ratio_diagnostics(th, pt, _window(cfg), time=t)
                          for t, th, pt in semigroup_reference(result))
-    return [VerdictRow("ratio_comparability", worst, f"sup/inf < {cfg.ratio_alarm}", worst < cfg.ratio_alarm)]
+    return [VerdictRow("ratio_comparability", worst, f"sup/inf < {RATIO_ALARM}", worst < RATIO_ALARM)]
 
 
 def _check_limits(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     times = _positive_times(result, "limits")
     t_split = float(np.sqrt(times[0] * times[-1]))
-    window, floor, dev = _window(cfg), cfg.floor_frac, cfg.dev_threshold
+    window, floor, dev = _window(cfg), FLOOR_FRAC, cfg.dev_threshold
     # one semigroup application per snapshot, shared by the three scans
     pairs = semigroup_reference(result)
     early = _scan([p for p in pairs if p[0] <= t_split], T_TO_0, window, floor, dev)
@@ -401,8 +407,7 @@ def _check_gradients(cfg: RunConfig, result: SimulationResult) -> list[VerdictRo
     refs = _with_orbit([(t, th) for t, th in result.snapshots if t > 0], abs0, cfg.alpha)
     rows = []
     for kappa in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(1, 1), MultiIndex(0, 2)):
-        qs = [gradient_bound_diag(th, pt, kappa, t, cfg.alpha, _window(cfg), cfg.floor_frac)
-              for t, th, pt in refs]
+        qs = [gradient_bound_diag(th, pt, kappa, t, cfg.alpha, _window(cfg)) for t, th, pt in refs]
         med = float(np.median(qs))
         spread = float(max(np.max(qs) / med, med / np.min(qs)))
         rows.append(VerdictRow(f"gradient_bound_{kappa.k1}{kappa.k2}", spread,
@@ -414,9 +419,7 @@ def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     rows = []
     for q in cfg.slope_quantities or ("linf", "riesz_linf"):
         try:
-            # slope_t_hi = 0 leaves the window open above
-            fit = diagnostics_slope_fit(cfg.alpha, result.diagnostics, q, cfg.slope_tolerance,
-                                        cfg.slope_t_lo, cfg.slope_t_hi or math.inf)
+            fit = diagnostics_slope_fit(cfg.alpha, result.diagnostics, q, cfg.slope_tolerance, cfg.slope_t_lo)
             rows.append(VerdictRow(f"slope_{q}", fit.slope,
                                    f"{fit.expected:+.4f} +/- {cfg.slope_tolerance}", fit.passed))
         except ValueError as e:
@@ -426,11 +429,8 @@ def _check_slopes(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
 
 def _check_above_critical(cfg: RunConfig, result: SimulationResult) -> list[VerdictRow]:
     _positive_times(result, "above_critical")
-    worst = _worst_ratio(above_critical_local_check(
-        result, cfg.above_critical_p, cfg.above_critical_T, _window(cfg), cfg.floor_frac
-    ))
-    return [VerdictRow("above_critical_ratio", worst, f"finite, < {cfg.ratio_alarm}",
-                       worst < cfg.ratio_alarm)]
+    worst = _worst_ratio(above_critical_local_check(result, cfg.above_critical_p, cfg.above_critical_T, _window(cfg)))
+    return [VerdictRow("above_critical_ratio", worst, f"finite, < {RATIO_ALARM}", worst < RATIO_ALARM)]
 
 
 # check name -> fn(cfg, result) -> verdict rows; rows come out in this order

@@ -4,21 +4,26 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import io
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sqglab
+import sqglab.solver as solver
 import sqglab.verify as _verify
 from sqglab.cli import _load_run, main
 from sqglab.grid import GridSpec, RealField
@@ -29,7 +34,7 @@ from sqglab.io import (
     write_diagnostics,
     write_snapshot,
 )
-from sqglab.runconfig import ConfigError, RunConfig, parse_config, serialize_config
+from sqglab.runconfig import _RETIRED, ConfigError, RunConfig, parse_config, serialize_config
 from sqglab.solver import DECAY_QUANTITIES, MAX_STEPS, DiagnosticRecord, critical_exponent
 from sqglab.verify import CHECKS
 
@@ -44,9 +49,7 @@ alpha = 1.5
 dt = 0.05
 t_end = 0.3
 scheme = ifrk4
-dealias = on
 nonlinear = on
-cfl_safety = 0.5
 snapshot_times = 0.1, 0.3
 
 [initial_data]
@@ -137,7 +140,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("key, word", [("dealias", "of"), ("nonlinear", "maybe")])
     def test_onoff_is_strict(self, key, word):
-        text = BASE_CONFIG.format(out="x").replace(f"{key} = on", f"{key} = {word}")
+        # dealias is retired, but its value is still read as on/off
+        text = BASE_CONFIG.format(out="x").replace("nonlinear = on", "nonlinear = on\ndealias = on")
+        text = text.replace(f"{key} = on", f"{key} = {word}")
         with pytest.raises(ConfigError, match=f"solver.{key}"):
             parse_config(text)
 
@@ -146,8 +151,44 @@ class TestRunConfig:
         ("OFF", False), ("false", False), ("no", False), ("0", False),
     ])
     def test_onoff_spellings(self, word, value):
-        text = BASE_CONFIG.format(out="x").replace("dealias = on", f"dealias = {word}")
-        assert parse_config(text).dealias is value
+        text = BASE_CONFIG.format(out="x").replace("nonlinear = on", f"nonlinear = {word}")
+        assert parse_config(text).nonlinear is value
+
+    @pytest.mark.parametrize("section, key, spellings, refused", [
+        ("solver", "dealias", ("on", "Yes"), ("off", "of")),
+        ("solver", "cfl_safety", ("0.5", "5e-1"), ("0.25", "nan")),
+        ("verification", "window_fraction", ("0.25", "2.5e-1"), ("0.5", "x")),
+        ("verification", "floor_frac", ("0.001", "1e-3"), ("1e-6", "")),
+        ("verification", "ratio_alarm", ("10.0", "1e1"), ("2", "inf")),
+        ("verification", "slope_t_hi", ("0.0", "0"), ("5", "-0.0001")),
+    ])
+    def test_retired_key_only_at_its_value(self, tmp_path, capsys, section, key, spellings, refused):
+        # a config written before the key became a constant loads as it ran;
+        # any other value would run other than the file says
+        plain = BASE_CONFIG.format(out=tmp_path / "o")
+        for word in spellings:
+            assert parse_config(plain.replace(f"[{section}]", f"[{section}]\n{key} = {word}")) == parse_config(plain)
+        value = _RETIRED[section, key]
+        accepted = "on" if value is True else repr(value)
+        for word in refused:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(plain.replace(f"[{section}]", f"[{section}]\n{key} = {word}"))
+            assert run_cli("simulate", "--config", cfgfile) == 2
+            assert capsys.readouterr().err == (f"error: {cfgfile}: {section}.{key}: retired key, "
+                                               f"accepted only as {accepted}, got {word!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_bump_config_loads(self, tmp_path):
+        # the benchmark's config still writes dealias = on and cfl_safety = 0.5
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        text = workloads._bump_config(1.5, 0.3, tmp_path / "o")
+        assert "dealias = on\n" in text and "cfl_safety = 0.5\n" in text
+        cfg = parse_config(text)
+        assert cfg == parse_config(text.replace("dealias = on\n", "").replace("cfl_safety = 0.5\n", ""))
+        assert (cfg.grid_n, cfg.alpha, cfg.id_rotation, cfg.nonlinear) == (256, 1.5, 0.3, True)
 
     @pytest.mark.parametrize("key, value, checks", [
         ("window_fraction", "nan", ""), ("window_fraction", "-1", ""), ("window_fraction", "0.6", ""),
@@ -165,7 +206,12 @@ class TestRunConfig:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text)
         assert run_cli("simulate", "--config", cfgfile) == 2
-        assert f"error: {cfgfile}: verification.{key}: {float(value)!r} must be finite and" in capsys.readouterr().err
+        if ("verification", key) in _RETIRED:
+            # a retired key's former range check is now its one accepted value
+            named = f"retired key, accepted only as {_RETIRED['verification', key]!r}, got {value!r}"
+        else:
+            named = f"{float(value)!r} must be finite and"
+        assert f"error: {cfgfile}: verification.{key}: {named}" in capsys.readouterr().err
 
     def test_power_tail_alpha_one_names_alpha(self):
         # the solver's alpha range is checked before the critical exponent
@@ -191,7 +237,6 @@ def _valid_configs(draw):
     if kind == "power_tail":
         gamma = alpha - 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
     path = draw(_PATHS.filter(bool) if kind == "from_file" else _PATHS)
-    t_lo = draw(st.floats(min_value=0.0, max_value=1e6))
     return RunConfig(
         grid_n=2 * draw(st.integers(min_value=8, max_value=10**6)),
         box_length=draw(_POSITIVE),
@@ -200,9 +245,7 @@ def _valid_configs(draw):
         dt=draw(st.floats(min_value=max(1e-9, 2 * t_end / MAX_STEPS), max_value=1e9)),
         t_end=t_end,
         scheme=draw(st.sampled_from(["ifrk4", "picard"])),
-        dealias=draw(st.booleans()),
         nonlinear=draw(st.booleans()),
-        cfl_safety=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         snapshot_times=tuple(draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))),
         id_kind=kind,
         id_amplitude=draw(_FLOATS),
@@ -216,21 +259,18 @@ def _valid_configs(draw):
         id_path=path,
         output_dir=draw(_PATHS),
         checks=tuple(draw(st.lists(st.sampled_from(list(CHECKS)), max_size=8))),
-        window_fraction=draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)),
-        floor_frac=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         dev_threshold=draw(_POSITIVE),
-        ratio_alarm=draw(st.floats(min_value=1.0, max_value=1e9, exclude_min=True)),
         slope_quantities=tuple(draw(st.lists(st.sampled_from(DECAY_QUANTITIES), max_size=3))),
-        slope_t_lo=t_lo,
-        slope_t_hi=draw(st.one_of(st.just(0.0), st.floats(min_value=t_lo, max_value=2e6, exclude_min=True))),
+        slope_t_lo=draw(st.floats(min_value=0.0, max_value=1e6)),
         slope_tolerance=draw(_POSITIVE),
         above_critical_p=critical_exponent(alpha) * draw(st.floats(min_value=1.001, max_value=10.0)),
         above_critical_T=draw(_POSITIVE),
     )
 
 
-# every (section, key) of the format, plus keys the parser must reject
-_KEYS = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)] + [("DEFAULT", "n"), ("extra", "junk")]
+# every (section, key) of the format and the retired keys, plus keys the parser must reject
+_KEYS = [f.metadata["ini"] for f in dataclasses.fields(RunConfig)] + list(_RETIRED)
+_KEYS += [("DEFAULT", "n"), ("extra", "junk")]
 _VALUES = st.one_of(
     st.text(max_size=20),
     st.sampled_from(["1.0", "1", "1.5", "0", "-1", "64", "1e999", "nan", "on", "power_tail",
@@ -558,10 +598,14 @@ class TestSimulateCli:
         ("1e-300", "1.0", "0.4", "dt = 1e-300 and t_end = 1.0 plan more than"),
         ("0.05", "1e12", "0.4", "dt = 0.05 and t_end = 1000000000000.0 plan more than"),
         ("0.05", "0.3", "1e70", f"at t = 0 the CFL step dt = 1.18e-70 leaves more than {MAX_STEPS} IF-RK4 steps"),
+        ("0.05", "0.3", "1e300", "error: non-finite l2, lcrit at t=0\n"),
+        ("0.05", "0.3", "1e308", "error: non-finite l2, lcrit, linf, riesz_linf, mean at t=0\n"),
     ])
     def test_step_budget_exit_two(self, tmp_path, dt, t_end, amplitude, named):
         # t + 1e-300 == t, and 2e13 steps do not end either: refused before any work;
-        # a 1e70 bump plans 6 steps, but its CFL step is about 1e-70: refused before the first
+        # a 1e70 bump plans 6 steps, but its CFL step is about 1e-70: refused before the first;
+        # the norms of a 1e300 bump, and its transform at 1e308, overflow: refused at t = 0,
+        # with no numpy warning on stderr
         out = tmp_path / "o"
         cfgfile = tmp_path / "run.cfg"
         text = BASE_CONFIG.format(out=out).replace("n = 64", "n = 16").replace("dt = 0.05", f"dt = {dt}")
@@ -724,7 +768,7 @@ class TestVerifyCli:
         cfg, result = _load_run(out)
         times = [t for t, _ in result.snapshots[1:]]
         t_split = float(np.sqrt(times[0] * times[-1]))
-        args = (cfg.window_fraction * cfg.box_length, cfg.floor_frac, cfg.dev_threshold)
+        args = (_verify.WINDOW_FRACTION * cfg.box_length, _verify.FLOOR_FRAC, cfg.dev_threshold)
         early = _verify.limit_scan(result, _verify.T_TO_0, *args, t_max=t_split)
         late = _verify.limit_scan(result, _verify.T_TO_INF, *args, t_min=t_split)
         space = _verify.limit_scan(result, _verify.X_TO_INF, *args)
@@ -783,10 +827,12 @@ class TestKernelCli:
         assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_unreachable_tolerance_exit_two(self, tmp_path, capsys):
-        assert run_cli("kernel", "--alpha", 1.5, "--tol", "1e-20", "--out", tmp_path) == 2
+        # the directory is made only once the profile is built
+        assert run_cli("kernel", "--alpha", 1.5, "--tol", "1e-20", "--out", tmp_path / "kout") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Hankel quadrature at r=")
         assert "Traceback" not in err
+        assert not (tmp_path / "kout").exists()
 
 
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
@@ -855,6 +901,8 @@ def test_cli_names_no_run_directory_file():
     (("fit", "--run", "run", "--t-lo", "nan"), "--t-lo"),
     (("fit", "--run", "run", "--t-hi", "inf"), "--t-hi"),
     (("fit", "--run", "run", "--expected", "nan"), "--expected"),
+    (("fit", "--run", "run", "--t-lo", 5, "--t-hi", 1), "--t-lo 5.0 must lie below --t-hi 1.0"),
+    (("fit", "--run", "run", "--t-lo", 2, "--t-hi", 2), "--t-lo 2.0 must lie below --t-hi 2.0"),
 ])
 def test_bad_option_is_named_exit_two(tmp_path, capsys, monkeypatch, args, option):
     monkeypatch.chdir(tmp_path)
@@ -893,6 +941,21 @@ _SPECIAL_ARGV = st.one_of(  # every numeric option of ``special``, counts kept s
 )
 
 
+_KERNEL_ARGV = _argv("kernel", alpha=st.floats(1.0, 2.0), tol=_ANY_POSITIVE, t_min=_ANY_POSITIVE,
+                     t_max=_ANY_POSITIVE, x_max=_ANY_POSITIVE)
+# every [grid] and [solver] value of BASE_CONFIG but n, each drawn by ``_option`` from a
+# range that keeps a 16^2 run short
+_RUN_VALUES = st.fixed_dictionaries({
+    "box_length": _option(st.floats(1.0, 100.0)),
+    "alpha": _option(_OPEN_ALPHA),
+    "dt": _option(st.floats(1e-3, 1.0)),
+    "t_end": _option(st.floats(0.0, 2.0)),
+    "scheme": st.sampled_from(["ifrk4", "picard", "euler", ""]),
+    "nonlinear": st.sampled_from(["on", "off", "maybe"]),
+    "snapshot_times": st.lists(_option(st.floats(0.0, 2.0)), max_size=3).map(", ".join),
+})
+
+
 def _exit_and_stderr(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -905,8 +968,9 @@ def _exit_and_stderr(argv):
 
 @pytest.mark.filterwarnings("error")  # a numpy warning is a fault, not a message
 class TestNumericOptionProperties:
-    """Whatever a numeric option of the fast verbs holds, the exit is 0, 1 or 2
-    with a message, never an internal error, a traceback or a warning."""
+    """Whatever a numeric option of the fast verbs, or a [grid] or [solver]
+    value of a 16^2 run, holds, the exit is 0, 1 or 2 with a message, never an
+    internal error, a traceback or a warning."""
 
     @pytest.fixture(scope="class")
     def fit_run(self, tmp_path_factory):
@@ -931,6 +995,33 @@ class TestNumericOptionProperties:
         rc, err = _exit_and_stderr(["fit", "--run", fit_run, *[w for kv in options.items() for w in kv]])
         assert rc in (0, 1, 2), err
         assert "Traceback" not in err
+
+    @settings(max_examples=40, deadline=timedelta(seconds=20))
+    @given(argv=_KERNEL_ARGV)
+    def test_kernel(self, tmp_path_factory, argv):
+        out = tmp_path_factory.getbasetemp() / "kernelprop"
+        shutil.rmtree(out, ignore_errors=True)
+        rc, err = _exit_and_stderr([*argv, "--out", out])
+        assert rc in (0, 2), err
+        # argparse puts its usage line before the error
+        assert rc == 0 or err.count("\n") == 1 or err.startswith("usage: "), err
+        assert rc == 0 or not out.exists()
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20))
+    @given(values=_RUN_VALUES)
+    def test_simulate(self, tmp_path_factory, values):
+        d = tmp_path_factory.getbasetemp() / "simprop"
+        shutil.rmtree(d, ignore_errors=True)
+        d.mkdir()
+        text = BASE_CONFIG.format(out=d / "run").replace("n = 64", "n = 16")
+        for key, value in values.items():
+            text = re.sub(rf"(?m)^{key} = .*$", lambda _: f"{key} = {value}", text)
+        (d / "run.cfg").write_text(text)
+        # a run the step budget allows stays short; one beyond it is refused
+        with mock.patch.object(solver, "MAX_STEPS", 2000):
+            rc, err = _exit_and_stderr(["simulate", "--config", d / "run.cfg"])
+        assert rc in (0, 2), err
+        assert rc == 0 or (err.startswith("error: ") and err.count("\n") == 1 and not (d / "run").exists()), err
 
 
 class TestSpecialCli:

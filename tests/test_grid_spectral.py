@@ -42,9 +42,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n, 1.0)
 
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            GridSpec(32, -1.0)
+    @pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf, 5e-324, 1e-300, 1e-149, 1e152, 1e300])
+    def test_bad_length(self, length):
+        # the cell area and the squared wavenumbers must stay normal floats
+        GridSpec(32, 1e-147)
+        GridSpec(32, 1e151)
+        with pytest.raises(ValueError, match=r"box_length / n must lie in \(1e-150, 1e150\)"):
+            GridSpec(32, length)
 
     def test_wavenumber_range(self):
         g = GridSpec(16, 4.0)

@@ -643,12 +643,15 @@ class TestSerialization:
                 load_profile(cut)
 
 
+    @pytest.mark.filterwarnings("error")  # radii whose differences overflow are compared, not differenced
     @pytest.mark.parametrize("alpha, r_max, edit, why", [
         (3.0, 20.0, None, "alpha"),
         (1.5, 5.0, None, "r_max must be at least 20"),
         (1.5, 20.0, lambda r, v: (r, -v), "finite and positive"),
         (1.5, 20.0, lambda r, v: (r, np.where(r > 1, np.nan, v)), "finite and positive"),
         (1.5, 20.0, lambda r, v: (r[::-1], v), "increase strictly"),
+        (1.5, 20.0, lambda r, v: (np.r_[r[:2], -1.7e308, 1.7e308, r[4:]], v), "increase strictly"),
+        (1.5, 20.0, lambda r, v: (np.r_[r[:2], np.inf, np.inf, r[4:]], v), "increase strictly"),
         (1.5, 20.0, lambda r, v: (r + 0.5, v), "start at 0"),
         (1.5, 30.0, None, "last radius"),
         (1.5, 20.0, lambda r, v: (r[:5], v[:5]), "at least 6"),

@@ -121,7 +121,7 @@ def _cmd_fit(args) -> int:
 
 def _number(convert, rule: str = "finite", ok=lambda v: True):
     """An argparse ``type``: ``convert`` of the text, refused unless finite and
-    ``ok``; ``rule`` words both, as a ``runconfig._RANGES`` entry does."""
+    ``ok``; ``rule`` words both, as the rule in a ``RunConfig`` field's metadata does."""
     def number(text: str):  # argparse names it in "invalid number value: ..."
         value = convert(text)
         if not (math.isfinite(value) and ok(value)):

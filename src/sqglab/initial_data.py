@@ -10,6 +10,7 @@ therefore default to a mild ellipticity.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -65,8 +66,8 @@ def compact_bump(
     rotation: float = 0.0,
 ) -> RealField:
     """Smooth bump at the box centre with exact compact support of the given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if radius <= 0 or aspect <= 0:
+        raise ValueError("radius and aspect must be positive")
     U, V = _rotated_frame(grid, (grid.box_length / 2, grid.box_length / 2), rotation, aspect)
     q = (U**2 + V**2) / radius**2
     vals = np.zeros(grid.shape)
@@ -79,21 +80,20 @@ def power_tail(
     grid: GridSpec,
     amplitude: float,
     gamma_exp: float,
-    core: float | None = None,
+    core: float = 0.0,
     angular: float = 0.0,
 ) -> RealField:
     """
     Slowly decaying datum amplitude * (core^2 + |x|^2)^(-gamma/2), optionally
-    modulated by (1 + angular*cos(2 phi)) away from the core.  It belongs to
-    L^p exactly when p*gamma > 2, so gamma above alpha-1 places it in the
-    scale-critical space.
+    modulated by (1 + angular*cos(2 phi)) away from the core; core 0 means
+    twice the grid spacing.  It belongs to L^p exactly when p*gamma > 2, so
+    gamma above alpha-1 places it in the scale-critical space.
     """
     if gamma_exp <= 0:
         raise ValueError("gamma_exp must be positive")
     if not -1.0 < angular < 1.0:
         raise ValueError("angular modulation must keep the datum positive")
-    if core is None:
-        core = 2.0 * grid.dx
+    core = core or 2.0 * grid.dx
     X, Y = grid.centered_coordinates()
     R2 = X**2 + Y**2
     vals = amplitude * (core**2 + R2) ** (-gamma_exp / 2.0)
@@ -121,6 +121,11 @@ def _compound_bump(grid: GridSpec, center, lam: float, rotation: float):
     return np.exp(-q / (2 * lam**2)) - np.exp(-q / (2 * (_LADDER_HALO * lam) ** 2)) / _LADDER_HALO**2
 
 
+def _ladder_resolved(grid: GridSpec, n_scales: int, lam_max: float) -> bool:
+    """Whether the ladder has a scale and its finest, lam_max * ratio^(1 - n_scales), spans 3 grid spacings."""
+    return lam_max > 0 and 1 <= n_scales <= 1 + math.log(lam_max / (3 * grid.dx), _LADDER_RATIO)
+
+
 def multiscale_ladder(
     grid: GridSpec,
     alpha: float,
@@ -137,9 +142,9 @@ def multiscale_ladder(
 
     Returns the field and the array of scales lam_j.
     """
+    if not _ladder_resolved(grid, n_scales, lam_max):
+        raise ValueError("n_scales must be >= 1, and the finest ladder scale span 3 grid spacings")
     lams = lam_max * _LADDER_RATIO ** (-np.arange(n_scales))
-    if lams[-1] < 3 * grid.dx:
-        raise ValueError("finest ladder scale is unresolved on this grid")
     amps = amplitude * (lams / lam_max) ** (-(alpha - 1.0))
     golden = np.pi * (3.0 - np.sqrt(5.0))
     L = grid.box_length

@@ -3,13 +3,13 @@ Flat key-value run configuration (INI sections), with strict validation and
 loss-free round-tripping: parse -> serialize -> parse is the identity.
 
 Each ``RunConfig`` field names its own INI ``(section, key)`` in its
-metadata; parsing and serializing are one loop over the fields, with one
-(parse, format) pair per field type.  Values are literal: ``%`` has no
-interpolation meaning, and on/off fields accept only on/off, true/false,
-yes/no and 1/0.  A section or key that no field names (``[DEFAULT]``
-included) is an error naming it; a key of ``_RETIRED`` is read and ignored,
-if it holds its fixed value.  ``parse_config_file`` names the file in its
-errors and makes a relative ``[initial_data] path`` absolute, beside the file.
+metadata, and the rule its values keep unless GridSpec or SolverConfig owns
+it; parsing, validating and serializing are loops over the fields.  Values
+are literal: ``%`` has no interpolation meaning, and on/off fields accept
+only on/off, true/false, yes/no and 1/0.  A section or key that no field
+names (``[DEFAULT]`` included) is an error naming it; a ``_RETIRED`` key is
+read and ignored, if it holds its fixed value.  ``parse_config_file`` names
+the file in its errors and makes a relative ``[initial_data] path`` absolute.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .grid import GridSpec, RealField
 from . import initial_data as _id
@@ -33,8 +35,48 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure, naming section and field."""
 
 
-def _ini(section: str, key: str, default):
-    return field(default=default, metadata={"ini": (section, key)})
+def _ini(section: str, key: str, default, rule=None):
+    """A field read from ``[section] key``; ``rule`` = (its range, as errors word it; ok(value, cfg))."""
+    return field(default=default, metadata={"ini": (section, key), "rule": rule})
+
+
+def _finite(words: str = "", ok=lambda v, c: True):
+    return f"finite and {words}" if words else "finite", lambda v, c: math.isfinite(v) and ok(v, c)
+
+
+# a bump whose diameter is below the grid spacing falls between the samples
+_BOX = "[half the grid spacing, the box length]"
+
+
+def _in_box(v: float, c) -> bool:
+    return c.box_length / c.grid_n / 2 <= v <= c.box_length
+
+
+def _one_of(names) -> tuple:
+    return f"one of {', '.join(names)}", lambda v, c: v in names
+
+
+def _from_file(cfg: RunConfig, g: GridSpec) -> RealField:
+    theta0, _, _ = read_snapshot(cfg.id_path)
+    if theta0.grid != g:
+        raise ConfigError(f"initial_data.path: field grid {theta0.grid.n}/{theta0.grid.box_length} "
+                          f"does not match configured grid {g.n}/{g.box_length}")
+    return theta0
+
+
+# initial-data kind -> (the [initial_data] keys it reads, builder(cfg, grid))
+_BUILDERS = {
+    "gaussian": (("amplitude", "width", "aspect", "rotation"), lambda c, g: _id.gaussian_bump(
+        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation)),
+    "compact_bump": (("amplitude", "width", "aspect", "rotation"), lambda c, g: _id.compact_bump(
+        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation)),
+    "power_tail": (("amplitude", "gamma_exp", "core", "angular"), lambda c, g: _id.power_tail(
+        g, c.id_amplitude, c.id_gamma, c.id_core, c.id_angular)),
+    "from_file": (("path",), _from_file),
+    "multiscale": (("amplitude", "width", "scales"), lambda c, g: _id.multiscale_ladder(
+        g, c.alpha, c.id_amplitude, n_scales=c.id_scales, lam_max=c.id_width)[0]),
+}
+_POSITIVE = _finite("> 0", lambda v, c: v > 0)
 
 
 @dataclass(frozen=True)
@@ -47,26 +89,33 @@ class RunConfig:
     scheme: str = _ini("solver", "scheme", SolverConfig.scheme)
     nonlinear: bool = _ini("solver", "nonlinear", SolverConfig.nonlinear)
     snapshot_times: tuple[float, ...] = _ini("solver", "snapshot_times", SolverConfig.snapshot_times)
-    id_kind: str = _ini("initial_data", "kind", "gaussian")
-    id_amplitude: float = _ini("initial_data", "amplitude", 0.25)
-    id_width: float = _ini("initial_data", "width", 1.0)
-    id_aspect: float = _ini("initial_data", "aspect", 2.0)
-    id_rotation: float = _ini("initial_data", "rotation", 0.0)
-    id_gamma: float = _ini("initial_data", "gamma_exp", 0.0)
-    id_core: float = _ini("initial_data", "core", 0.0)
-    id_angular: float = _ini("initial_data", "angular", 0.0)
-    id_scales: int = _ini("initial_data", "scales", 10)
-    id_path: str = _ini("initial_data", "path", "")
-    output_dir: str = _ini("output", "directory", "run_output")
+    id_kind: str = _ini("initial_data", "kind", "gaussian", _one_of(_BUILDERS))
+    id_amplitude: float = _ini("initial_data", "amplitude", 0.25, _finite())
+    id_width: float = _ini("initial_data", "width", 1.0, _finite(f"in {_BOX}", _in_box))
+    id_aspect: float = _ini("initial_data", "aspect", 2.0, _finite(
+        f"> 0, with width * aspect in {_BOX}", lambda v, c: _in_box(c.id_width * v, c)))
+    id_rotation: float = _ini("initial_data", "rotation", 0.0, _finite())
+    id_gamma: float = _ini("initial_data", "gamma_exp", 0.0, _finite(
+        "> alpha-1, so the datum lies in the critical space L^(2/(alpha-1))", lambda v, c: v > c.alpha - 1.0))
+    id_core: float = _ini("initial_data", "core", 0.0, _finite(
+        f"0 (for twice the grid spacing) or in {_BOX}", lambda v, c: v == 0 or _in_box(v, c)))
+    id_angular: float = _ini("initial_data", "angular", 0.0, _finite("in (-1, 1)", lambda v, c: -1 < v < 1))
+    id_scales: int = _ini("initial_data", "scales", 10, (
+        ">= 1, with the finest scale initial_data.width * 2^((1 - scales)/2) at least 3 grid spacings",
+        lambda v, c: _id._ladder_resolved(c.grid(), v, c.id_width)))
+    id_path: str = _ini("initial_data", "path", "", ("the path of a snapshot file", lambda v, c: bool(v)))
+    output_dir: str = _ini("output", "directory", "run_output", ("a non-empty path", lambda v, c: bool(v)))
     checks: tuple[str, ...] = _ini(
-        "verification", "checks", ("max_principle", "mass_conservation", "ratio", "limits")
-    )
-    dev_threshold: float = _ini("verification", "dev_threshold", 0.05)
-    slope_quantities: tuple[str, ...] = _ini("verification", "slope_quantities", ())
-    slope_t_lo: float = _ini("verification", "slope_t_lo", 0.0)
-    slope_tolerance: float = _ini("verification", "slope_tolerance", 0.05)
-    above_critical_p: float = _ini("verification", "above_critical_p", 6.0)
-    above_critical_T: float = _ini("verification", "above_critical_T", 5.0)
+        "verification", "checks", ("max_principle", "mass_conservation", "ratio", "limits"), _one_of(CHECKS))
+    dev_threshold: float = _ini("verification", "dev_threshold", 0.05, _POSITIVE)
+    slope_quantities: tuple[str, ...] = _ini("verification", "slope_quantities", (), _one_of(DECAY_QUANTITIES))
+    slope_t_lo: float = _ini("verification", "slope_t_lo", 0.0, _finite(">= 0", lambda v, c: v >= 0))
+    slope_tolerance: float = _ini("verification", "slope_tolerance", 0.05, _POSITIVE)
+    # the default 6 lies below 2/(alpha-1) for alpha <= 4/3, so it binds only where the check runs
+    above_critical_p: float = _ini("verification", "above_critical_p", 6.0, _finite(
+        "> the critical power 2/(alpha-1) when above_critical is checked",
+        lambda v, c: v > critical_exponent(c.alpha) or "above_critical" not in c.checks))
+    above_critical_T: float = _ini("verification", "above_critical_T", 5.0, _POSITIVE)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_n, self.box_length)
@@ -75,84 +124,33 @@ class RunConfig:
         return SolverConfig(grid=self.grid(), **{name: getattr(self, name) for name in _SOLVER_FIELDS})
 
     def build_theta0(self) -> RealField:
-        return _BUILDERS[self.id_kind](self, self.grid())
+        # keys whose product leaves the float range give non-finite data, which run_simulation refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _BUILDERS[self.id_kind][1](self, self.grid())
 
 
 # the SolverConfig fields a RunConfig field of the same name sets (all but grid)
 _SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name in RunConfig.__dataclass_fields__)
 
 
-def _key(name: str) -> str:
-    """``section.key`` of a RunConfig field, as error messages name it."""
-    return ".".join(RunConfig.__dataclass_fields__[name].metadata["ini"])
-
-
-def _from_file(cfg: RunConfig, g: GridSpec) -> RealField:
-    theta0, _, _ = read_snapshot(cfg.id_path)
-    if theta0.grid != g:
-        raise ConfigError(
-            f"{_key('id_path')}: field grid {theta0.grid.n}/{theta0.grid.box_length} "
-            f"does not match configured grid {g.n}/{g.box_length}"
-        )
-    return theta0
-
-
-# initial-data kind -> builder(cfg, grid)
-_BUILDERS = {
-    "gaussian": lambda c, g: _id.gaussian_bump(
-        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
-    ),
-    "compact_bump": lambda c, g: _id.compact_bump(
-        g, c.id_amplitude, c.id_width, aspect=c.id_aspect, rotation=c.id_rotation
-    ),
-    "power_tail": lambda c, g: _id.power_tail(
-        g, c.id_amplitude, c.id_gamma, c.id_core if c.id_core > 0 else None, c.id_angular
-    ),
-    "from_file": _from_file,
-    "multiscale": lambda c, g: _id.multiscale_ladder(
-        g, c.alpha, c.id_amplitude, n_scales=c.id_scales, lam_max=c.id_width
-    )[0],
-}
-
-
-# [verification] field -> (its range, as errors word it; test of a finite value and the config)
-_RANGES = (
-    ("dev_threshold", "> 0", lambda v, c: v > 0),
-    ("slope_tolerance", "> 0", lambda v, c: v > 0),
-    ("above_critical_T", "> 0", lambda v, c: v > 0),
-    ("slope_t_lo", ">= 0", lambda v, c: v >= 0),
-    # the default 6 lies below 2/(alpha-1) for alpha <= 4/3, so it binds only where the check runs
-    ("above_critical_p", "> the critical power 2/(alpha-1) when above_critical is checked",
-     lambda v, c: v > critical_exponent(c.alpha) or "above_critical" not in c.checks),
-)
-
-
 def _validate(cfg: RunConfig) -> RunConfig:
-    # GridSpec and SolverConfig run their own validations, named here by
-    # section; alpha must be in (1, 2) before the critical exponent below can be formed
+    # GridSpec and SolverConfig run their own validations, named here by section; the
+    # rules below read the grid spacing and alpha, so those must hold first
     for section, build in (("grid", cfg.grid), ("solver", cfg.solver_config)):
         try:
             build()
         except ValueError as e:
             raise ConfigError(f"[{section}]: {e}") from None
-    if cfg.id_kind not in _BUILDERS:
-        raise ConfigError(f"{_key('id_kind')}: {cfg.id_kind!r} not one of {tuple(_BUILDERS)}")
-    if cfg.id_kind == "power_tail" and not cfg.id_gamma > cfg.alpha - 1.0:
-        raise ConfigError(
-            f"{_key('id_gamma')}: power-tail exponent must exceed alpha-1 "
-            f"= {cfg.alpha - 1.0:.3f} so the datum lies in the critical space "
-            f"L^{critical_exponent(cfg.alpha):.3f}"
-        )
-    if cfg.id_kind == "from_file" and not cfg.id_path:
-        raise ConfigError(f"{_key('id_path')}: required for kind = from_file")
-    for name, known in (("checks", CHECKS), ("slope_quantities", DECAY_QUANTITIES)):
-        unknown = [v for v in getattr(cfg, name) if v not in known]
-        if unknown:
-            raise ConfigError(f"{_key(name)}: unknown {unknown[0]!r}; known: {', '.join(known)}")
-    for name, rule, ok in _RANGES:
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and ok(value, cfg)):
-            raise ConfigError(f"{_key(name)}: {value!r} must be finite and {rule}")
+    for f in fields(RunConfig):
+        (section, key), rule = f.metadata["ini"], f.metadata["rule"]
+        # kind, checked first of its section, selects the other [initial_data] keys that bind
+        if rule is None or section == "initial_data" and key != "kind" and key not in _BUILDERS[cfg.id_kind][0]:
+            continue
+        words, ok = rule
+        value = getattr(cfg, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if not ok(item, cfg):
+                raise ConfigError(f"{section}.{key}: {item!r} must be {words}")
     return cfg
 
 

@@ -27,6 +27,7 @@ import sqglab.solver as solver
 import sqglab.verify as _verify
 from sqglab.cli import _load_run, main
 from sqglab.grid import GridSpec, RealField
+from sqglab.initial_data import _ladder_resolved, compact_bump
 from sqglab.kernel import KernelProfile, load_profile, save_profile
 from sqglab.io import (
     read_diagnostics,
@@ -64,6 +65,9 @@ directory = {out}
 [verification]
 checks = max_principle, mass_conservation, ratio, limits
 """
+
+
+_BASE_INITIAL_DATA = "kind = gaussian\namplitude = 0.4\nwidth = 1.0\naspect = 2.0"
 
 
 def run_cli(*args):
@@ -108,7 +112,7 @@ class TestRunConfig:
 
     def test_unknown_slope_quantity(self):
         text = BASE_CONFIG.format(out="x") + "slope_quantities = linf, vibes\n"
-        with pytest.raises(ConfigError, match="verification.slope_quantities: unknown 'vibes'"):
+        with pytest.raises(ConfigError, match="verification.slope_quantities: 'vibes' must be one of l2, "):
             parse_config(text)
 
     @pytest.mark.parametrize("old, new, name", [
@@ -213,6 +217,51 @@ class TestRunConfig:
             named = f"{float(value)!r} must be finite and"
         assert f"error: {cfgfile}: verification.{key}: {named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial_data, named", [
+        ("kind = multiscale\nscales = 0", "scales: 0 must be >= 1"),
+        ("kind = multiscale\nscales = -2", "scales: -2 must be >= 1"),
+        ("kind = multiscale\nwidth = 4.0\nscales = 6", "scales: 6 must be >= 1, with the finest scale initial_data.width"),
+        ("kind = multiscale\nwidth = -4", "width: -4.0 must be finite and in [half the grid spacing"),
+        ("kind = compact_bump\nwidth = 1e-300", "width: 1e-300 must be finite and in [half the grid spacing"),
+        ("kind = compact_bump\naspect = 0", "aspect: 0.0 must be finite and > 0"),
+        ("kind = gaussian\nwidth = 1e-200", "width: 1e-200 must be finite and"),
+        ("kind = gaussian\nwidth = 21", "width: 21.0 must be finite and"),
+        ("kind = gaussian\naspect = -1", "aspect: -1.0 must be finite and > 0"),
+        ("kind = gaussian\naspect = 100", "aspect: 100.0 must be finite and > 0, with width * aspect in"),
+        ("kind = gaussian\namplitude = nan", "amplitude: nan must be finite\n"),
+        ("kind = gaussian\nrotation = inf", "rotation: inf must be finite\n"),
+        ("kind = power_tail\ngamma_exp = 0.6\ncore = 1e-300", "core: 1e-300 must be finite and 0 (for twice"),
+        ("kind = power_tail\ngamma_exp = 0.6\ncore = -1", "core: -1.0 must be finite and 0 (for twice"),
+        ("kind = power_tail\ngamma_exp = 0.6\nangular = 1", "angular: 1.0 must be finite and in (-1, 1)"),
+        ("kind = power_tail\ngamma_exp = nan", "gamma_exp: nan must be finite and > alpha-1"),
+        ("kind = from_file", "path: '' must be the path of a snapshot file"),
+        ("kind = blob", "kind: 'blob' must be one of gaussian, compact_bump, power_tail, from_file, multiscale"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_initial_data_value_named(self, tmp_path, capsys, initial_data, named):
+        # each value the kind reads is refused before any work, naming its key
+        text = BASE_CONFIG.format(out=tmp_path / "o").replace(_BASE_INITIAL_DATA, initial_data)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text.replace("n = 64", "n = 16"))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgfile}: initial_data.{named}") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind, unread", [
+        ("gaussian", "core = -1"), ("gaussian", "gamma_exp = nan"), ("compact_bump", "scales = 0"),
+        ("compact_bump", "angular = 5"), ("gaussian", "path = "), ("from_file\npath = seed.sqgf", "rotation = inf"),
+        ("power_tail\ngamma_exp = 0.6", "rotation = nan"), ("multiscale\nscales = 1", "angular = -3"),
+    ])
+    def test_a_rule_binds_only_where_the_kind_reads_its_key(self, kind, unread):
+        parse_config(BASE_CONFIG.format(out="x").replace(_BASE_INITIAL_DATA, f"kind = {kind}\n{unread}"))
+
+    def test_every_number_outside_grid_and_solver_has_a_rule(self):
+        # a key GridSpec and SolverConfig do not check is checked by its own rule, or a new key could skip the table
+        numbers = [f for f in dataclasses.fields(RunConfig)
+                   if f.type in ("int", "float") and f.metadata["ini"][0] not in ("grid", "solver")]
+        assert numbers and [f.name for f in numbers if f.metadata["rule"] is None] == []
+
     def test_power_tail_alpha_one_names_alpha(self):
         # the solver's alpha range is checked before the critical exponent
         # 2/(alpha-1) of the power-tail guard is formed
@@ -229,17 +278,36 @@ _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
 
 
 @st.composite
+def _initial_data(draw, kind: str, alpha: float, grid: GridSpec) -> dict:
+    """The [initial_data] fields of a valid config: each key ``kind`` reads from its declared range, the rest any."""
+    dx, L = grid.dx, grid.box_length
+    values = dict(id_amplitude=draw(_FLOATS), id_width=draw(_FLOATS), id_aspect=draw(_FLOATS),
+                  id_rotation=draw(_FLOATS), id_gamma=draw(_FLOATS), id_core=draw(_FLOATS),
+                  id_angular=draw(_FLOATS), id_scales=draw(st.integers(min_value=-10**9, max_value=10**9)),
+                  id_path=draw(_PATHS.filter(bool) if kind == "from_file" else _PATHS))
+    if kind in ("gaussian", "compact_bump"):
+        width = values["id_width"] = draw(st.floats(dx / 2, L))
+        values["id_aspect"] = draw(st.floats(dx / 2 / width, L / width).filter(lambda a: dx / 2 <= width * a <= L))
+    elif kind == "power_tail":
+        values["id_gamma"] = alpha - 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
+        values["id_core"] = draw(st.one_of(st.just(0.0), st.floats(dx / 2, L)))
+        values["id_angular"] = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    elif kind == "multiscale":
+        width = values["id_width"] = draw(st.floats(3 * dx, L))
+        top = math.floor(1 + math.log(width / (3 * dx), math.sqrt(2)))
+        values["id_scales"] = draw(st.integers(1, max(top, 1)).filter(lambda n: _ladder_resolved(grid, n, width)))
+    return values
+
+
+@st.composite
 def _valid_configs(draw):
     alpha = draw(st.floats(min_value=1.0, max_value=2.0, exclude_min=True, exclude_max=True))
     t_end = draw(st.floats(min_value=0.0, max_value=1e6))
     kind = draw(st.sampled_from(["gaussian", "compact_bump", "power_tail", "from_file", "multiscale"]))
-    gamma = draw(_FLOATS)
-    if kind == "power_tail":
-        gamma = alpha - 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
-    path = draw(_PATHS.filter(bool) if kind == "from_file" else _PATHS)
+    grid = GridSpec(2 * draw(st.integers(min_value=8, max_value=10**6)), draw(_POSITIVE))
     return RunConfig(
-        grid_n=2 * draw(st.integers(min_value=8, max_value=10**6)),
-        box_length=draw(_POSITIVE),
+        grid_n=grid.n,
+        box_length=grid.box_length,
         alpha=alpha,
         # within the IF-RK4 step budget, with room for the rounding of t_end/dt
         dt=draw(st.floats(min_value=max(1e-9, 2 * t_end / MAX_STEPS), max_value=1e9)),
@@ -248,16 +316,8 @@ def _valid_configs(draw):
         nonlinear=draw(st.booleans()),
         snapshot_times=tuple(draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))),
         id_kind=kind,
-        id_amplitude=draw(_FLOATS),
-        id_width=draw(_FLOATS),
-        id_aspect=draw(_FLOATS),
-        id_rotation=draw(_FLOATS),
-        id_gamma=gamma,
-        id_core=draw(_FLOATS),
-        id_angular=draw(_FLOATS),
-        id_scales=draw(st.integers(min_value=-10**9, max_value=10**9)),
-        id_path=path,
-        output_dir=draw(_PATHS),
+        **draw(_initial_data(kind, alpha, grid)),
+        output_dir=draw(_PATHS.filter(bool)),
         checks=tuple(draw(st.lists(st.sampled_from(list(CHECKS)), max_size=8))),
         dev_threshold=draw(_POSITIVE),
         slope_quantities=tuple(draw(st.lists(st.sampled_from(DECAY_QUANTITIES), max_size=3))),
@@ -562,6 +622,15 @@ class TestSimulateCli:
         cfgfile.write_text(BASE_CONFIG.format(out=out))
         assert run_cli("simulate", "--config", cfgfile) == 0
         assert parse_config((out / "config.cfg").read_text()).output_dir == str(out)
+
+    def test_empty_output_directory_refused(self, tmp_path, capsys, monkeypatch):
+        # an empty directory would be the current one, whose snapshot files simulate deletes
+        monkeypatch.chdir(tmp_path)
+        Path("snapshot_keep.sqgf").write_bytes(b"mine")
+        Path("run.cfg").write_text(BASE_CONFIG.format(out="").replace("n = 64", "n = 16"))
+        assert run_cli("simulate", "--config", "run.cfg") == 2
+        assert capsys.readouterr().err == "error: run.cfg: output.directory: '' must be a non-empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "snapshot_keep.sqgf"]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -955,6 +1024,26 @@ _RUN_VALUES = st.fixed_dictionaries({
     "snapshot_times": st.lists(_option(st.floats(0.0, 2.0)), max_size=3).map(", ".join),
 })
 
+_AMPLITUDE = _option(st.floats(-1.0, 1.0))
+# each kind but from_file with every [initial_data] key it reads, drawn by ``_option``; at 16^2
+# on the box of 20, half the grid spacing is 0.625 and a ladder's finest scale must span 3.75
+_INITIAL_DATA_VALUES = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["gaussian", "compact_bump"]), "amplitude": _AMPLITUDE,
+        "width": _option(st.floats(0.625, 20.0)), "aspect": _option(st.floats(0.1, 4.0)),
+        "rotation": _option(st.floats(-4.0, 4.0)),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("power_tail"), "amplitude": _AMPLITUDE, "gamma_exp": _option(st.floats(0.5, 3.0)),
+        "core": _option(st.one_of(st.just(0.0), st.floats(0.625, 20.0))),
+        "angular": _option(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("multiscale"), "amplitude": _AMPLITUDE, "width": _option(st.floats(3.75, 20.0)),
+        "scales": _option(st.integers(1, 3)),
+    }),
+)
+
 
 def _exit_and_stderr(argv):
     err = io.StringIO()
@@ -966,11 +1055,13 @@ def _exit_and_stderr(argv):
     return rc, err.getvalue()
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning is a fault, not a message
+# a numpy warning is a fault, not a message; only RuntimeWarning, so that a warning the
+# hypothesis plugin raises while it reports a failing example does not end pytest
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNumericOptionProperties:
-    """Whatever a numeric option of the fast verbs, or a [grid] or [solver]
-    value of a 16^2 run, holds, the exit is 0, 1 or 2 with a message, never an
-    internal error, a traceback or a warning."""
+    """Whatever a numeric option of the fast verbs, or a [grid], [solver] or
+    [initial_data] value of a 16^2 run, holds, the exit is 0, 1 or 2 with a
+    message, never an internal error, a traceback or a warning."""
 
     @pytest.fixture(scope="class")
     def fit_run(self, tmp_path_factory):
@@ -1007,21 +1098,35 @@ class TestNumericOptionProperties:
         assert rc == 0 or err.count("\n") == 1 or err.startswith("usage: "), err
         assert rc == 0 or not out.exists()
 
-    @settings(max_examples=60, deadline=timedelta(seconds=20))
-    @given(values=_RUN_VALUES)
-    def test_simulate(self, tmp_path_factory, values):
-        d = tmp_path_factory.getbasetemp() / "simprop"
+    @staticmethod
+    def simulate(d: Path, text: str) -> None:
+        """``simulate`` of the 16^2 config ``text``, into ``d``: a run, or one error line and no directory."""
         shutil.rmtree(d, ignore_errors=True)
         d.mkdir()
-        text = BASE_CONFIG.format(out=d / "run").replace("n = 64", "n = 16")
-        for key, value in values.items():
-            text = re.sub(rf"(?m)^{key} = .*$", lambda _: f"{key} = {value}", text)
-        (d / "run.cfg").write_text(text)
+        (d / "run.cfg").write_text(text.replace("n = 64", "n = 16").format(out=d / "run"))
         # a run the step budget allows stays short; one beyond it is refused
         with mock.patch.object(solver, "MAX_STEPS", 2000):
             rc, err = _exit_and_stderr(["simulate", "--config", d / "run.cfg"])
         assert rc in (0, 2), err
         assert rc == 0 or (err.startswith("error: ") and err.count("\n") == 1 and not (d / "run").exists()), err
+
+    @settings(max_examples=60, deadline=timedelta(seconds=20))
+    @given(values=_RUN_VALUES)
+    def test_simulate(self, tmp_path_factory, values):
+        text = BASE_CONFIG
+        for key, value in values.items():
+            text = re.sub(rf"(?m)^{key} = .*$", lambda _: f"{key} = {value}", text)
+        self.simulate(tmp_path_factory.getbasetemp() / "simprop", text)
+
+    @settings(max_examples=80, deadline=timedelta(seconds=20))
+    @given(values=_INITIAL_DATA_VALUES)
+    @example(values={"kind": "power_tail", "amplitude": "0.4", "gamma_exp": "0.6", "core": "0", "angular": "0.3"})
+    # a datum beyond the float range, which no one key's rule can see
+    @example(values={"kind": "power_tail", "amplitude": "1.7e308", "gamma_exp": "3", "core": "0.625", "angular": "0"})
+    @example(values={"kind": "multiscale", "amplitude": "1.7e308", "width": "8", "scales": "2"})
+    def test_simulate_initial_data(self, tmp_path_factory, values):
+        block = "\n".join(f"{key} = {value}" for key, value in values.items())
+        self.simulate(tmp_path_factory.getbasetemp() / "idprop", BASE_CONFIG.replace(_BASE_INITIAL_DATA, block))
 
 
 class TestSpecialCli:
@@ -1241,6 +1346,8 @@ class TestRunDirectoryFaults:
     @pytest.mark.parametrize("old, new, named", [
         ("alpha = 1.5", "alpha = 2.5", "[solver]: solver requires alpha in (1, 2), got 2.5"),
         ("n = 16", "n = 17", "[grid]: grid size must be even"),
+        # a run directory written before the [initial_data] rules, with a value they refuse
+        ("width = 1.0", "width = 1e-300", "initial_data.width: 1e-300 must be finite and in [half the grid spacing"),
     ])
     @pytest.mark.parametrize("argv", [("verify", "--run", "run"), ("simulate", "--config", "run/config.cfg")])
     def test_config_error_names_file_and_section(self, tmp_path, capsys, monkeypatch, old, new, named, argv):
@@ -1425,8 +1532,7 @@ class TestFromFileInitialData:
 class TestInitialDataKinds:
     @staticmethod
     def theta0(initial_data: str) -> np.ndarray:
-        text = BASE_CONFIG.format(out="x").replace("kind = gaussian\namplitude = 0.4\nwidth = 1.0\naspect = 2.0",
-                                                   initial_data)
+        text = BASE_CONFIG.format(out="x").replace(_BASE_INITIAL_DATA, initial_data)
         return parse_config(text).build_theta0().values
 
     def test_compact_bump_support(self):
@@ -1438,6 +1544,15 @@ class TestInitialDataKinds:
         assert values[32, 32] == values.max() == 0.4  # the box centre, q = 0
         q_off = (0.625 / 1.5) ** 2  # two cells along x
         assert values[34, 32] == pytest.approx(0.4 * math.exp(1 - 1 / (1 - q_off)), rel=1e-14)
+
+    def test_power_tail_core_zero_is_twice_the_grid_spacing(self):
+        zero = self.theta0("kind = power_tail\namplitude = 0.4\ngamma_exp = 0.6\ncore = 0")
+        assert np.array_equal(zero, self.theta0("kind = power_tail\namplitude = 0.4\ngamma_exp = 0.6\ncore = 0.625"))
+
+    @pytest.mark.parametrize("aspect", [0.0, -1.0])
+    def test_compact_bump_refuses_a_nonpositive_aspect(self, aspect):
+        with pytest.raises(ValueError, match="aspect must be positive"):
+            compact_bump(GridSpec(16, 20.0), 1.0, 2.0, aspect=aspect)
 
     def test_power_tail_angular_modulation(self):
         # (1 + angular cos(2 phi) |x|^2 / (1 + |x|^2)) times the unmodulated tail

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernel as _kernel
 from . import special as _special
 from . import verify as _verify
 from .io import CONFIG_FILE, read_run, write_csv, write_run, write_verdicts
@@ -35,6 +34,8 @@ INTERNAL_ERROR = 3
 
 
 def _cmd_kernel(args) -> int:
+    from . import kernel as _kernel  # here, so that no other verb loads scipy
+
     profile = _kernel.build_profile(args.alpha, tol=args.tol)
     with np.errstate(over="ignore"):  # a bound near the float limit may round to inf, which the sweep refuses
         ts = np.geomspace(args.t_min, args.t_max, 13)

@@ -167,14 +167,6 @@ def _apply_multiplier(f: RealField, mult: np.ndarray) -> RealField:
     return RealField(f.grid, sp.inverse(mult * sp.forward(f.values)))
 
 
-def apply_fractional_laplacian(f: RealField, alpha: float) -> RealField:
-    """(-Laplace)^(alpha/2) f via the |xi|^alpha multiplier; the xi=0 mode maps to 0."""
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    sp = _Spectra.of(f.grid)
-    return _apply_multiplier(f, sp.kmod**alpha)
-
-
 def apply_semigroup(f: RealField, t: float, alpha: float) -> RealField:
     """Stable semigroup P_t f via the exp(-t |xi|^alpha) multiplier; P_0 = identity."""
     return next(semigroup_orbit(f, (t,), alpha))

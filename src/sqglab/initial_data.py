@@ -14,14 +14,12 @@ import math
 
 import numpy as np
 
-from .grid import (GridSpec, MultiIndex, RealField, _Spectra, apply_derivative, apply_riesz_perp,
-                   semigroup_orbit)
+from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz_perp, semigroup_orbit
 
 __all__ = [
     "gaussian_bump",
     "compact_bump",
     "power_tail",
-    "random_band_limited",
     "multiscale_ladder",
     "ladder_tie_phase",
 ]
@@ -100,17 +98,6 @@ def power_tail(
     if angular != 0.0:
         phi = np.arctan2(Y, X)
         vals = vals * (1.0 + angular * np.cos(2 * phi) * R2 / (1.0 + R2))
-    return RealField(grid, vals)
-
-
-def random_band_limited(grid: GridSpec, seed: int, kmax_frac: float = 0.25) -> RealField:
-    """Seeded random field of sup norm 1 with spectrum confined below kmax_frac of Nyquist."""
-    rng = np.random.default_rng(seed)
-    sp = _Spectra.of(grid)
-    kcut = kmax_frac * np.pi / grid.dx
-    mask = (np.abs(sp.kx) <= kcut) & (np.abs(sp.ky) <= kcut)
-    vals = sp.inverse(np.where(mask, sp.forward(rng.standard_normal(grid.shape)), 0.0))
-    vals *= 1.0 / max(np.abs(vals).max(), 1e-300)
     return RealField(grid, vals)
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import PPoly, make_interp_spline
+from scipy.linalg import solve_banded
 
 from .grid import GridSpec, MultiIndex, RealField, apply_derivative, apply_riesz
 from .io import PROFILE_FORMAT, _read_binary, _write_binary
@@ -239,6 +239,75 @@ def levy_density(z, alpha: float) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
+# The quintic spline of log g
+# ---------------------------------------------------------------------------
+
+
+def _bspline_basis(t: np.ndarray, k: int, x: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The k + 1 B-splines of degree k on knots t that can be nonzero on
+    [t_l, t_(l+1)), B_(l-k) ... B_l (rows), at each x in its own interval l
+    (columns), by de Boor's recursion (de Boor 1978, A Practical Guide to
+    Splines, BSPLVB).  Only knots t_(l-k+1) ... t_(l+k) are read."""
+    b = np.zeros((k + 1, len(x)))
+    b[0] = 1.0
+    for j in range(1, k + 1):
+        saved = 0.0
+        for r in range(j):
+            right, left = t[l + r + 1] - x, x - t[l + r + 1 - j]
+            term = b[r] / (right + left)
+            b[r] = saved + right * term
+            saved = left * term
+        b[j] = saved
+    return b
+
+
+class _QuinticSpline:
+    """
+    The not-a-knot quintic interpolating spline of (x, y), the spline of
+    scipy's ``make_interp_spline(x, y, k=5)``: knots x[3:-3] with six copies
+    of each end, B-spline coefficients from the banded collocation system,
+    then on each interval [x_b, x_(b+1)) of the breaks the Taylor
+    coefficients F^(m)(x_b)/m!, each from the m-th derivative spline.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        k, n = 5, len(x)
+        t = np.concatenate([np.full(k + 1, x[0]), x[3:-3], np.full(k + 1, x[-1])])
+        # each node's interval [t_l, t_(l+1)); the last node closes the last one
+        l = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+        cols = l - k + np.arange(k + 1)[:, None]
+        ab = np.zeros((2 * k + 1, n))  # solve_banded's layout: ab[k + i - j, j] = A[i, j]
+        ab[k + np.arange(n) - cols, cols] = _bspline_basis(t, k, x, l)
+        c = solve_banded((k, k), ab, y)
+        self.breaks = t[k:n + 1]
+        lb = np.arange(k, n)  # the interval each break opens
+        self.taylor = np.empty((k + 1, n - k))
+        for m in range(k + 1):
+            if m:  # the coefficients of the m-th derivative spline, of degree k - m
+                c = (k - m + 1) * np.diff(c) / (t[k + 1:n + k + 1 - m] - t[m:n])
+            basis = _bspline_basis(t, k - m, self.breaks[:-1], lb)
+            self.taylor[m] = np.sum(c[lb - k + np.arange(k - m + 1)[:, None]] * basis, axis=0) / math.factorial(m)
+
+    def __call__(self, v: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
+        """F(v), or (F, F', F'') with ``derivatives``, by Horner's rule on
+        each point's interval (the first or last beyond the ends)."""
+        i = np.clip(np.searchsorted(self.breaks, v, side="right") - 1, 0, len(self.breaks) - 2)
+        h = v - self.breaks[i]
+        c = self.taylor[:, i]
+        f = c[-1]
+        if not derivatives:
+            for cm in c[-2::-1]:
+                f = f * h + cm
+            return (f,)
+        d1 = d2 = np.zeros_like(h)  # F' and F''/2
+        for cm in c[-2::-1]:
+            d2 = d2 * h + d1
+            d1 = d1 * h + f
+            f = f * h + cm
+        return f, d1, 2.0 * d2
+
+
+# ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------
 
@@ -276,8 +345,7 @@ class KernelProfile:
         for name, a in (("radii", radii), ("values", values)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        log_g = PPoly.from_spline(make_interp_spline(radii**2, np.log(values), k=5))
-        object.__setattr__(self, "_log_g", log_g)
+        object.__setattr__(self, "_log_g", _QuinticSpline(radii**2, np.log(values)))
         object.__setattr__(self, "_top", min(self.r_max, _table_edge(self.alpha)))
 
     def radial(self, r, derivatives: bool = True) -> np.ndarray:
@@ -290,11 +358,10 @@ class KernelProfile:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         inside = r <= self._top
         out = np.empty((3 if derivatives else 1,) + r.shape)
-        v = r[inside] ** 2
-        g = np.exp(self._log_g(v))
+        f = self._log_g(r[inside] ** 2, derivatives)
+        g = np.exp(f[0])
         if derivatives:
-            f1, f2 = self._log_g(v, 1), self._log_g(v, 2)
-            out[:, inside] = g, 2.0 * g * f1, 4.0 * g * (f1**2 + f2)
+            out[:, inside] = g, 2.0 * g * f[1], 4.0 * g * (f[1] ** 2 + f[2])
         else:
             out[0, inside] = g
         out[:, ~inside] = _far_field(self.alpha, r[~inside])[: len(out)]
@@ -310,7 +377,7 @@ class KernelProfile:
         top = self._top
         un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), 16)
         rn = np.expm1(un)
-        pn = np.exp(self._log_g(rn**2))
+        pn = np.exp(self._log_g(rn**2)[0])
         return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .grid import GridSpec, RealField
 from . import initial_data as _id
 from .io import read_snapshot
-from .solver import CFL_SAFETY, DECAY_QUANTITIES, SolverConfig, critical_exponent
+from .solver import CFL_SAFETY, DECAY_QUANTITIES, SolverConfig, critical_exponent, initial_record
 from .verify import CHECKS, FLOOR_FRAC, RATIO_ALARM, WINDOW_FRACTION
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_file", "serialize_config"]
@@ -124,9 +124,18 @@ class RunConfig:
         return SolverConfig(grid=self.grid(), **{name: getattr(self, name) for name in _SOLVER_FIELDS})
 
     def build_theta0(self) -> RealField:
-        # keys whose product leaves the float range give non-finite data, which run_simulation refuses
+        """theta0 of the [initial_data] keys.  Keys whose product leaves the
+        float range give a datum with a non-finite value or t = 0 norm, which
+        no one key's rule can see; it is refused naming the kind and its keys."""
+        keys, build = _BUILDERS[self.id_kind]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _BUILDERS[self.id_kind][1](self, self.grid())
+            theta0 = build(self, self.grid())
+        try:
+            initial_record(self.solver_config(), theta0)
+        except ValueError as e:
+            raise ConfigError(f"initial_data: the {self.id_kind} datum of {', '.join(keys)} "
+                              f"is beyond the float range ({e})") from None
+        return theta0
 
 
 # the SolverConfig fields a RunConfig field of the same name sets (all but grid)

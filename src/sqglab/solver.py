@@ -37,6 +37,7 @@ __all__ = [
     "PicardDivergenceError",
     "nonlinear_term",
     "run_simulation",
+    "initial_record",
     "picard_iterate",
     "critical_exponent",
 ]
@@ -308,14 +309,8 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
     adaptive steps (capped by config.dt and the CFL limit), one record each;
     Picard in one Duhamel iteration per snapshot time.
     """
-    if theta0.grid != config.grid:
-        raise ValueError("initial data grid does not match configuration")
-    if not np.all(np.isfinite(theta0.values)):
-        raise ValueError("initial data contains non-finite values")
-    st = _Stepper(config.grid, config.alpha, config.nonlinear)
-    th_hat = st.sp.forward(theta0.values)
+    st, th_hat, (rec, theta) = _start(config, theta0, config.nonlinear)
     t = 0.0
-    rec, theta = st.diagnostics(th_hat, t)
     snaps: list[tuple[float, RealField]] = [(t, theta0)]
     records = [rec]
     for target in _snapshot_targets(config):
@@ -343,6 +338,26 @@ def run_simulation(config: SolverConfig, theta0: RealField) -> SimulationResult:
             records.append(rec)
         snaps.append((t, theta))
     return SimulationResult(config, tuple(snaps), tuple(records))
+
+
+def _start(config: SolverConfig, theta0: RealField, nonlinear: bool):
+    """The stepper, the transform of theta0 and its t = 0 diagnostics; a datum
+    off the grid, or with a non-finite value or norm, raises ValueError."""
+    if theta0.grid != config.grid:
+        raise ValueError("initial data grid does not match configuration")
+    if not np.all(np.isfinite(theta0.values)):
+        raise ValueError("initial data contains non-finite values")
+    st = _Stepper(config.grid, config.alpha, nonlinear)
+    th_hat = st.sp.forward(theta0.values)
+    return st, th_hat, st.diagnostics(th_hat, 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def initial_record(config: SolverConfig, theta0: RealField) -> DiagnosticRecord:
+    """The t = 0 record of theta0, which ``run_simulation`` starts from: a
+    datum it refuses raises the same ValueError here."""
+    _, _, (rec, _) = _start(config, theta0, False)
+    return rec
 
 
 def _snapshot_targets(config: SolverConfig) -> list[float]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .grid import RealField, _freeze
 
@@ -153,10 +152,12 @@ def radial_singular_integral(alpha: float, beta_param: float, v: float,
 
 def _kernel_moments(z0: np.ndarray, z1: np.ndarray, t: float, a: float, b: float):
     """Moments int s^(-b)(t-s)^(-a){1, s} ds over [t*z0, t*z1] via incomplete Beta."""
+    from scipy.special import betainc  # here, so that only this quadrature loads scipy
+
     B0 = beta(1.0 - b, 1.0 - a)
     B1 = beta(2.0 - b, 1.0 - a)
-    i0 = _sp.betainc(1.0 - b, 1.0 - a, z1) - _sp.betainc(1.0 - b, 1.0 - a, z0)
-    i1 = _sp.betainc(2.0 - b, 1.0 - a, z1) - _sp.betainc(2.0 - b, 1.0 - a, z0)
+    i0 = betainc(1.0 - b, 1.0 - a, z1) - betainc(1.0 - b, 1.0 - a, z0)
+    i1 = betainc(2.0 - b, 1.0 - a, z1) - betainc(2.0 - b, 1.0 - a, z0)
     m0 = t ** (1.0 - a - b) * B0 * i0
     m1 = t ** (2.0 - a - b) * B1 * i1
     return m0, m1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqglab.grid import GridSpec, RealField
+from sqglab.grid import GridSpec, RealField, _Spectra
 from sqglab.kernel import build_profile, build_derivative_profile
 from sqglab.grid import MultiIndex
 
@@ -31,7 +31,12 @@ def grid_small():
     return GridSpec(64, 20.0)
 
 
-def make_random_field(grid: GridSpec, seed: int = 0) -> RealField:
-    from sqglab.initial_data import random_band_limited
-
-    return random_band_limited(grid, seed)
+def random_band_limited(grid: GridSpec, seed: int, kmax_frac: float = 0.25) -> RealField:
+    """Seeded random field of sup norm 1 with spectrum confined below kmax_frac of Nyquist."""
+    rng = np.random.default_rng(seed)
+    sp = _Spectra.of(grid)
+    kcut = kmax_frac * np.pi / grid.dx
+    mask = (np.abs(sp.kx) <= kcut) & (np.abs(sp.ky) <= kcut)
+    vals = sp.inverse(np.where(mask, sp.forward(rng.standard_normal(grid.shape)), 0.0))
+    vals *= 1.0 / max(np.abs(vals).max(), 1e-300)
+    return RealField(grid, vals)

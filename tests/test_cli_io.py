@@ -68,6 +68,7 @@ checks = max_principle, mass_conservation, ratio, limits
 
 
 _BASE_INITIAL_DATA = "kind = gaussian\namplitude = 0.4\nwidth = 1.0\naspect = 2.0"
+_GAUSSIAN_BEYOND = "initial_data: the gaussian datum of amplitude, width, aspect, rotation is beyond the float range"
 
 
 def run_cli(*args):
@@ -667,8 +668,8 @@ class TestSimulateCli:
         ("1e-300", "1.0", "0.4", "dt = 1e-300 and t_end = 1.0 plan more than"),
         ("0.05", "1e12", "0.4", "dt = 0.05 and t_end = 1000000000000.0 plan more than"),
         ("0.05", "0.3", "1e70", f"at t = 0 the CFL step dt = 1.18e-70 leaves more than {MAX_STEPS} IF-RK4 steps"),
-        ("0.05", "0.3", "1e300", "error: non-finite l2, lcrit at t=0\n"),
-        ("0.05", "0.3", "1e308", "error: non-finite l2, lcrit, linf, riesz_linf, mean at t=0\n"),
+        ("0.05", "0.3", "1e300", f"error: {_GAUSSIAN_BEYOND} (non-finite l2, lcrit at t=0)\n"),
+        ("0.05", "0.3", "1e308", f"error: {_GAUSSIAN_BEYOND} (non-finite l2, lcrit, linf, riesz_linf, mean at t=0)\n"),
     ])
     def test_step_budget_exit_two(self, tmp_path, dt, t_end, amplitude, named):
         # t + 1e-300 == t, and 2e13 steps do not end either: refused before any work;
@@ -913,14 +914,35 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
 
-def test_modules_load_without_the_kernel():
-    # the package re-exports nothing, so only what imports kernel loads it and scipy.interpolate
-    code = ("import sys, sqglab.grid, sqglab.initial_data, sqglab.special, sqglab.solver, sqglab.verify, "
-            "sqglab.io, sqglab.runconfig; print(sorted({'sqglab.kernel', 'scipy.interpolate'} & set(sys.modules)))")
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys\nprint(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(Path(sqglab.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_modules_load_without_the_kernel(tmp_path):
+    # the package re-exports nothing, so only what imports kernel loads it and scipy.interpolate
+    loaded = _modules_after("import sqglab.grid, sqglab.initial_data, sqglab.special, sqglab.solver, "
+                            "sqglab.verify, sqglab.io, sqglab.runconfig")
+    assert {"sqglab.kernel", "scipy.interpolate"} & loaded == set()
+    # only the kernel verb loads scipy: not the cli, nor a simulate, verify and fit of a 16^2 run
+    assert [m for m in _modules_after("import sqglab.cli") if m.startswith("scipy")] == []
+    cfgfile = tmp_path / "run.cfg"
+    # dt 0.005 leaves the 8 records and 1.5 decades of t a fit needs
+    cfgfile.write_text(BASE_CONFIG.replace("n = 64", "n = 16").replace("dt = 0.05", "dt = 0.005").format(
+        out=tmp_path / "run"))
+    verbs = [["simulate", "--config", str(cfgfile)], ["verify", "--run", str(tmp_path / "run")],
+             ["fit", "--run", str(tmp_path / "run")]]
+    loaded = _modules_after(f"from sqglab.cli import main\nfor argv in {verbs!r}:\n    assert main(argv) in (0, 1)")
+    assert (tmp_path / "run" / "verdict.csv").exists()
+    assert [m for m in loaded if m.startswith("scipy")] == []
+    # the kernel itself needs scipy.special and scipy.linalg, and no larger scipy package
+    loaded = _modules_after("import sqglab.kernel")
+    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "interpolate"], ["scipy", "optimize"],
+                                                       ["scipy", "sparse"])] == []
 
 
 def test_cli_restates_no_solver_rule():
@@ -1553,6 +1575,21 @@ class TestInitialDataKinds:
     def test_compact_bump_refuses_a_nonpositive_aspect(self, aspect):
         with pytest.raises(ValueError, match="aspect must be positive"):
             compact_bump(GridSpec(16, 20.0), 1.0, 2.0, aspect=aspect)
+
+    # datums that only several keys together push past the float range: a value, then the l2 norm
+    @pytest.mark.parametrize("initial_data, reason", [
+        ("amplitude = 1.7e308\ngamma_exp = 3\ncore = 0.625", "initial data contains non-finite values"),
+        ("amplitude = 1e300\ngamma_exp = 0.6\ncore = 0.7\nangular = 0.5", "non-finite l2, lcrit at t=0"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_datum_beyond_the_float_range_names_kind_and_keys(self, tmp_path, capsys, initial_data, reason):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(BASE_CONFIG.format(out=tmp_path / "run").replace("n = 64", "n = 16").replace(
+            _BASE_INITIAL_DATA, "kind = power_tail\n" + initial_data))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        assert capsys.readouterr().err == ("error: initial_data: the power_tail datum of amplitude, gamma_exp, "
+                                           f"core, angular is beyond the float range ({reason})\n")
+        assert not (tmp_path / "run").exists()
 
     def test_power_tail_angular_modulation(self):
         # (1 + angular cos(2 phi) |x|^2 / (1 + |x|^2)) times the unmodulated tail

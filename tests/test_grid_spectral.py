@@ -12,7 +12,6 @@ from sqglab.grid import (
     RealField,
     _Spectra,
     apply_derivative,
-    apply_fractional_laplacian,
     apply_riesz,
     apply_riesz_perp,
     apply_semigroup,
@@ -21,9 +20,8 @@ from sqglab.grid import (
 )
 import sqglab
 import sqglab.initial_data as initial_data
-from sqglab.initial_data import random_band_limited
 
-from conftest import make_random_field
+from conftest import random_band_limited
 
 
 def sine_field(grid, k=1, axis=0):
@@ -58,31 +56,9 @@ class TestGridSpec:
         assert kx.max() == pytest.approx(7 * base)
 
 
-class TestFractionalLaplacian:
-    def test_unit_wavenumber_eigenfunction(self, grid_2pi):
-        f = sine_field(grid_2pi)
-        for alpha in (1.2, 1.5, 2.0):
-            out = apply_fractional_laplacian(f, alpha)
-            assert np.abs(out.values - f.values).max() < 1e-12
-
-    def test_constant_maps_to_zero(self, grid_2pi):
-        out = apply_fractional_laplacian(RealField(grid_2pi, np.ones(grid_2pi.shape)), 1.5)
-        assert np.abs(out.values).max() < 1e-12
-
-    def test_mode_two_eigenvalue(self, grid_2pi):
-        f = sine_field(grid_2pi, k=2)
-        out = apply_fractional_laplacian(f, 1.5)
-        assert np.abs(out.values - 2**1.5 * f.values).max() < 1e-12
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
-    def test_alpha_domain(self, grid_2pi, alpha):
-        with pytest.raises(ValueError):
-            apply_fractional_laplacian(sine_field(grid_2pi), alpha)
-
-
 class TestSemigroup:
     def test_identity_at_zero(self, grid_small):
-        f = make_random_field(grid_small, 1)
+        f = random_band_limited(grid_small, 1)
         out = apply_semigroup(f, 0.0, 1.5)
         assert np.abs(out.values - f.values).max() < 1e-14
 
@@ -93,7 +69,7 @@ class TestSemigroup:
             assert np.abs(out.values - np.exp(-0.7) * f.values).max() < 1e-12
 
     def test_composition(self, grid_small):
-        f = make_random_field(grid_small, 2)
+        f = random_band_limited(grid_small, 2)
         one = apply_semigroup(f, 0.9, 1.5)
         two = apply_semigroup(apply_semigroup(f, 0.5, 1.5), 0.4, 1.5)
         assert np.abs(one.values - two.values).max() < 1e-12
@@ -103,13 +79,13 @@ class TestSemigroup:
             apply_semigroup(sine_field(grid_2pi), -0.1, 1.5)
 
     def test_mean_preserved(self, grid_small):
-        f = make_random_field(grid_small, 5)
+        f = random_band_limited(grid_small, 5)
         out = apply_semigroup(f, 2.0, 1.3)
         assert out.values.mean() == pytest.approx(f.values.mean(), abs=1e-13)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, np.inf])
     def test_contraction(self, grid_small, p):
-        f = make_random_field(grid_small, 7)
+        f = random_band_limited(grid_small, 7)
         for t in (0.1, 1.0, 10.0):
             assert lp_norm(apply_semigroup(f, t, 1.5), p) <= lp_norm(f, p) * (1 + 1e-12)
 
@@ -125,7 +101,7 @@ class TestSemigroupOrbit:
 
     @pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
     def test_each_time_is_the_one_time_semigroup(self, grid_small, alpha):
-        f = make_random_field(grid_small, 3)
+        f = random_band_limited(grid_small, 3)
         got = list(semigroup_orbit(f, self.TIMES, alpha))
         assert len(got) == len(self.TIMES)
         for t, pt in zip(self.TIMES, got):
@@ -133,7 +109,7 @@ class TestSemigroupOrbit:
             assert np.array_equal(pt.values, multiplier_semigroup(f, t, alpha).values)
 
     def test_one_forward_transform(self, grid_small, monkeypatch):
-        f = make_random_field(grid_small, 4)
+        f = random_band_limited(grid_small, 4)
         calls = []
         forward = _Spectra.forward
         monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1) or forward(self, v))
@@ -144,7 +120,7 @@ class TestSemigroupOrbit:
 
     @pytest.mark.parametrize("times, alpha", [((0.1, 0.2, -0.1), 1.5), ((0.1,), 2.5), ((0.1,), 0.9)])
     def test_bad_time_or_alpha_raises_before_any_field(self, grid_small, times, alpha, monkeypatch):
-        f = make_random_field(grid_small, 5)
+        f = random_band_limited(grid_small, 5)
         calls = []
         monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1))
         with pytest.raises(ValueError):
@@ -153,7 +129,7 @@ class TestSemigroupOrbit:
 
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
     def test_non_finite_or_negative_time_raises_before_any_field(self, grid_small, t, monkeypatch):
-        f = make_random_field(grid_small, 6)
+        f = random_band_limited(grid_small, 6)
         calls = []
         monkeypatch.setattr(_Spectra, "forward", lambda self, v: calls.append(1))
         with pytest.raises(ValueError, match=f"got {t}"):
@@ -196,7 +172,7 @@ class TestRiesz:
         assert np.abs(out.values).max() < 1e-12
 
     def test_perp_is_divergence_free(self, grid_small):
-        f = make_random_field(grid_small, 11)
+        f = random_band_limited(grid_small, 11)
         u1, u2 = apply_riesz_perp(f)
         div = apply_derivative(u1, MultiIndex(1, 0)) + apply_derivative(u2, MultiIndex(0, 1))
         assert np.abs(div.values).max() < 1e-12 * max(1.0, np.abs(u1.values).max())
@@ -216,7 +192,7 @@ class TestRiesz:
         assert abs(worst[64] - worst[128]) < 0.5 * max(worst.values())
 
     def test_l2_isometry_mean_zero(self, grid_small):
-        f = make_random_field(grid_small, 13)
+        f = random_band_limited(grid_small, 13)
         f = RealField(grid_small, f.values - f.values.mean())
         r1 = apply_riesz(f, 1)
         r2 = apply_riesz(f, 2)
@@ -224,7 +200,7 @@ class TestRiesz:
         assert total == pytest.approx(lp_norm(f, 2), rel=1e-10)
 
     def test_commutes_with_derivative(self, grid_small):
-        f = make_random_field(grid_small, 17)
+        f = random_band_limited(grid_small, 17)
         k = MultiIndex(1, 1)
         a = apply_riesz(apply_derivative(f, k), 1)
         b = apply_derivative(apply_riesz(f, 1), k)
@@ -342,14 +318,14 @@ class TestNorms:
     @settings(max_examples=25, deadline=None)
     def test_homogeneous(self, c, p):
         g = GridSpec(32, 5.0)
-        f = make_random_field(g, 23)
+        f = random_band_limited(g, 23)
         assert lp_norm(RealField(g, c * f.values), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 2.5, 4.0, 10.0])
     def test_matches_the_plain_expression(self, p):
         # bit for bit: the stepper's diagnostics are held to lp_norm
         g = GridSpec(48, 5.0)
-        f = make_random_field(g, 29)
+        f = random_band_limited(g, 29)
         assert lp_norm(f, p) == float((np.sum(np.abs(f.values) ** p) * g.dx**2) ** (1.0 / p))
 
     def test_p_below_one(self, grid_2pi):

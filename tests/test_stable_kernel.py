@@ -379,6 +379,21 @@ class TestSplineDerivatives:
         quad_g = np.array([kernel._radial_value(alpha, r, order=18) for r in mid])
         assert np.max(np.abs(prof(mid) / quad_g - 1.0)) <= 1e-8
 
+    @pytest.mark.parametrize("alpha, r_max", [(1.2, None), (1.5, None), (1.8, None), (2.0, None), (1.0, 40.0)])
+    def test_spline_is_scipys_quintic(self, alpha, r_max):
+        # the oracle: scipy's not-a-knot quintic interpolant of the same table
+        from scipy.interpolate import PPoly, make_interp_spline
+
+        prof = build_profile(alpha, r_max=r_max)
+        v = prof.radii**2
+        oracle = PPoly.from_spline(make_interp_spline(v, np.log(prof.values), k=5))
+        at = np.concatenate([v, np.random.default_rng(7).uniform(0.0, v[-1], 10**4)])
+        for nu, got in enumerate(prof._log_g(at, derivatives=True)):
+            want = oracle(at, nu)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        rs = np.sqrt(at)
+        assert np.array_equal(prof.radial(rs, derivatives=False)[0], prof.radial(rs)[0])
+
     def test_loaded_table_serves_the_same_derivatives(self, profile15, tmp_path):
         path = tmp_path / "k.sqgk"
         save_profile(profile15, path)

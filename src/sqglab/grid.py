@@ -81,8 +81,11 @@ class _Spectra:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.riesz1 = np.where(self.kmod > 0, 1j * self.kx_odd / self.kmod, 0.0)
             self.riesz2 = np.where(self.kmod > 0, 1j * self.ky_odd / self.kmod, 0.0)
-        cut = (n // 3) * (2 * np.pi / grid.box_length)
-        self.dealias_mask = (np.abs(self.kx) <= cut + 1e-12) & (np.abs(self.ky) <= cut + 1e-12)
+        # the 2/3 rule on the integer mode numbers |m| of the fftfreq slots,
+        # so that the mask does not depend on the box's units
+        m = np.arange(n)
+        band = np.minimum(m, n - m) <= n // 3
+        self.dealias_mask = band[:, None] & band[None, : n // 2 + 1]
         # leading ky columns that hold the 2/3-rule band, and all of them
         self.band_cols, self.half_cols = n // 3 + 1, n // 2 + 1
 

@@ -14,14 +14,16 @@ row per radius, and every panel comes from ``special._gauss_panels``.
 nodes, so a table of any length is a few array passes per block in bounded
 memory; the profile, its order-18 spot checks, the derivative oracle and the
 whole-space Gaussian semigroup all go through it.
+One table serves p and its derivatives: a quintic interpolating spline F
+of log p(1, r) in v = r^2, so that g = e^F, g'/r = 2 g F' and
+(g'' - g'/r)/r^2 = 4 g (F'^2 + F''), smooth through the origin.  The table
+is read up to ``_table_edge(alpha)`` (r = 50 for 1 <= alpha < 2, 8 at
+alpha = 2); beyond it the profile, its mass and its derivatives come
+termwise from the exact far-field series of ``_series_terms``, and at
+alpha = 2 from the Gaussian itself.
 Other times follow from the exact scaling
-p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x).  One table serves p and its
-derivatives: a quintic interpolating spline F of log p(1, r) in v = r^2, so
-that g = e^F, g'/r = 2 g F' and (g'' - g'/r)/r^2 = 4 g (F'^2 + F''), smooth
-through the origin.  The table is read up to ``_table_edge(alpha)`` (r = 50
-for 1 <= alpha < 2, 8 at alpha = 2); beyond it the profile, its mass and its
-derivatives come termwise from the exact far-field series of
-``_series_terms``, and at alpha = 2 from the Gaussian itself.
+p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x), applied in one place,
+``KernelProfile.at``; every estimate of p(t, .) or its derivatives reads it.
 """
 
 from __future__ import annotations
@@ -288,17 +290,13 @@ class _QuinticSpline:
             basis = _bspline_basis(t, k - m, self.breaks[:-1], lb)
             self.taylor[m] = np.sum(c[lb - k + np.arange(k - m + 1)[:, None]] * basis, axis=0) / math.factorial(m)
 
-    def __call__(self, v: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
-        """F(v), or (F, F', F'') with ``derivatives``, by Horner's rule on
-        each point's interval (the first or last beyond the ends)."""
+    def __call__(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, F', F'') at v by Horner's rule on each point's interval (the
+        first or last beyond the ends)."""
         i = np.clip(np.searchsorted(self.breaks, v, side="right") - 1, 0, len(self.breaks) - 2)
         h = v - self.breaks[i]
         c = self.taylor[:, i]
         f = c[-1]
-        if not derivatives:
-            for cm in c[-2::-1]:
-                f = f * h + cm
-            return (f,)
         d1 = d2 = np.zeros_like(h)  # F' and F''/2
         for cm in c[-2::-1]:
             d2 = d2 * h + d1
@@ -348,28 +346,37 @@ class KernelProfile:
         object.__setattr__(self, "_log_g", _QuinticSpline(radii**2, np.log(values)))
         object.__setattr__(self, "_top", min(self.r_max, _table_edge(self.alpha)))
 
-    def radial(self, r, derivatives: bool = True) -> np.ndarray:
+    def radial(self, r) -> np.ndarray:
         """
-        Rows g, g'/r and (g'' - g'/r)/r^2 at radii r (the row g alone without
-        ``derivatives``).  Up to min(r_max, edge) they are e^F, 2 g F' and
-        4 g (F'^2 + F'') of the spline F of log g in v = r^2, finite through
-        r = 0; beyond, ``_far_field`` serves them termwise.
+        Rows g, g'/r and (g'' - g'/r)/r^2 at radii r.  Up to min(r_max, edge)
+        they are e^F, 2 g F' and 4 g (F'^2 + F'') of the spline F of log g in
+        v = r^2, finite through r = 0; beyond, ``_far_field`` serves them termwise.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         inside = r <= self._top
-        out = np.empty((3 if derivatives else 1,) + r.shape)
-        f = self._log_g(r[inside] ** 2, derivatives)
-        g = np.exp(f[0])
-        if derivatives:
-            out[:, inside] = g, 2.0 * g * f[1], 4.0 * g * (f[1] ** 2 + f[2])
-        else:
-            out[0, inside] = g
-        out[:, ~inside] = _far_field(self.alpha, r[~inside])[: len(out)]
+        out = np.empty((3,) + r.shape)
+        f, d1, d2 = self._log_g(r[inside] ** 2)
+        g = np.exp(f)
+        out[:, inside] = g, 2.0 * g * d1, 4.0 * g * (d1**2 + d2)
+        out[:, ~inside] = _far_field(self.alpha, r[~inside])
         return out
+
+    def at(self, t: float, r) -> np.ndarray:
+        """
+        Rows p(t, r), (d_r p)/r and (d_r^2 p - (d_r p)/r)/r^2 of p(t, .) at
+        radii r, by the exact scaling p(t, x) = t^(-2/alpha) p(1, t^(-1/alpha) x):
+        row k of ``radial(r t^(-1/alpha))`` times t^(-(2 + 2k)/alpha).
+        """
+        if not t > 0:
+            raise ValueError(f"kernel time must be positive, got {t}")
+        rows = self.radial(np.asarray(r, dtype=float) * t ** (-1.0 / self.alpha))
+        for k, row in enumerate(rows):
+            row *= t ** (-(2.0 + 2 * k) / self.alpha)
+        return rows
 
     def __call__(self, r) -> np.ndarray:
         """p(1, r); the far-field series beyond the table's reach."""
-        out = self.radial(r, derivatives=False)[0]
+        out = self.radial(r)[0]
         return float(out[0]) if np.ndim(r) == 0 else out
 
     def total_mass(self) -> float:
@@ -377,7 +384,7 @@ class KernelProfile:
         top = self._top
         un, uw = _gauss_panels(np.log1p(np.append(self.radii[self.radii < top], top)), 16)
         rn = np.expm1(un)
-        pn = np.exp(self._log_g(rn**2)[0])
+        pn = self.radial(rn)[0]
         return 2 * np.pi * float(np.sum(pn * rn * (rn + 1.0) * uw)) + _far_mass(self.alpha, top)
 
 
@@ -445,27 +452,17 @@ def _tabulate(alpha: float, r_max: float, tol: float, n_nodes: int | None) -> Ke
 
 
 def kernel_eval(profile: KernelProfile, t: float, x) -> np.ndarray | float:
-    """p(t, x) via the exact scaling relation; ``x`` is a point or (..., 2) array."""
+    """p(t, x), the p row of ``KernelProfile.at``; ``x`` is a point or (..., 2) array."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.hypot(x[..., 0], x[..., 1])
-    out = kernel_eval_radial(profile, t, r)
+    out = profile.at(t, r)[0]
     return float(out[0]) if out.size == 1 else out.reshape(np.shape(r))
-
-
-def kernel_eval_radial(profile: KernelProfile, t: float, r) -> np.ndarray:
-    if t <= 0:
-        raise ValueError(f"kernel time must be positive, got {t}")
-    r = np.asarray(r, dtype=float)
-    return t ** (-2.0 / profile.alpha) * profile(r * t ** (-1.0 / profile.alpha))
 
 
 @dataclass(frozen=True)
 class KernelDerivativeProfile:
-    """
-    grad^kappa p(1, .) for 1 <= |kappa| <= 2 from the profile's own spline:
-    d_i p(1, x) = A x_i and d_ij p(1, x) = A delta_ij + B x_i x_j with
-    A = g'/r and B = (g'' - g'/r)/r^2 of ``KernelProfile.radial``.
-    """
+    """The derivative grad^kappa, 1 <= |kappa| <= 2, of ``profile``'s kernel,
+    evaluated by ``kernel_derivative_eval``."""
 
     profile: KernelProfile
     kappa: MultiIndex
@@ -474,23 +471,6 @@ class KernelDerivativeProfile:
         if not 1 <= self.kappa.order <= 2:
             raise ValueError("kappa order must be 1 or 2")
 
-    @property
-    def alpha(self) -> float:
-        return self.profile.alpha
-
-    def eval_unit_time(self, x: np.ndarray) -> np.ndarray:
-        """grad^kappa p(1, x) for points x of shape (..., 2)."""
-        kappa = self.kappa
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        x1, x2 = x[..., 0], x[..., 1]
-        _, a, b = self.profile.radial(np.hypot(x1, x2))
-        if kappa.order == 1:
-            return a * (x1 if kappa.k1 == 1 else x2)
-        if kappa.k1 == 1:  # the mixed derivative
-            return b * x1 * x2
-        xi = x1 if kappa.k1 == 2 else x2
-        return a + b * xi**2
-
 
 def build_derivative_profile(alpha: float, kappa: MultiIndex) -> KernelDerivativeProfile:
     """grad^kappa p(1, .) over the (memoised) ``build_profile(alpha)``."""
@@ -498,13 +478,21 @@ def build_derivative_profile(alpha: float, kappa: MultiIndex) -> KernelDerivativ
 
 
 def kernel_derivative_eval(dprofile: KernelDerivativeProfile, t: float, x) -> np.ndarray | float:
-    """grad^kappa p(t, x) = t^(-(2+|kappa|)/alpha) (grad^kappa p)(1, t^(-1/alpha) x)."""
-    if t <= 0:
-        raise ValueError(f"kernel time must be positive, got {t}")
+    """
+    grad^kappa p(t, x) at points x of shape (..., 2): d_i p = A x_i and
+    d_ij p = A delta_ij + B x_i x_j, with A and B the rows (d_r p)/r and
+    (d_r^2 p - (d_r p)/r)/r^2 of ``KernelProfile.at``.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    a = dprofile.alpha
-    scale = t ** (-(2.0 + dprofile.kappa.order) / a)
-    out = scale * dprofile.eval_unit_time(x * t ** (-1.0 / a))
+    x1, x2 = x[..., 0], x[..., 1]
+    _, a, b = dprofile.profile.at(t, np.hypot(x1, x2))
+    kappa = dprofile.kappa
+    if kappa.order == 1:
+        out = a * (x1 if kappa.k1 == 1 else x2)
+    elif kappa.k1 == 1:  # the mixed derivative
+        out = b * x1 * x2
+    else:
+        out = a + b * (x1 if kappa.k1 == 2 else x2) ** 2
     return float(out.ravel()[0]) if out.size == 1 else out
 
 
@@ -522,7 +510,7 @@ def estimate_ratios(profile: KernelProfile, t_set: Sequence[float], r: np.ndarra
     r = np.asarray(r, dtype=float)
     t_set = np.asarray(t_set, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.array([kernel_eval_radial(profile, t, r) * (t ** (1.0 / a) + r) ** (2.0 + a) / t for t in t_set])
+        ratios = np.array([profile.at(t, r)[0] * (t ** (1.0 / a) + r) ** (2.0 + a) / t for t in t_set])
     bad = np.argwhere(~np.isfinite(ratios))
     if bad.size:
         i, j = bad[0]
@@ -565,7 +553,7 @@ def riesz_kernel_bound_check(
     mask = r <= window_radius
     sup = 0.0
     for t in t_set:
-        vals = kernel_eval_radial(profile, float(t), r.ravel()).reshape(r.shape)
+        vals = profile.at(float(t), r.ravel())[0].reshape(r.shape)
         f = RealField(grid, vals)
         g = apply_riesz(f, 1)
         if kappa.order == 1:
@@ -587,8 +575,6 @@ def convolve_whole_space(
     P_t theta0 at the points of ``x_set`` by direct quadrature of the
     whole-space kernel against a compactly supported sampled function.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
     pc = np.asarray(patch_coords, dtype=float).reshape(-1, 2)
     pv = np.asarray(patch_values, dtype=float).ravel()
     if pc.shape[0] != pv.shape[0]:
@@ -597,7 +583,7 @@ def convolve_whole_space(
     out = np.empty(xs.shape[0])
     for i, x in enumerate(xs):
         r = np.hypot(pc[:, 0] - x[0], pc[:, 1] - x[1])
-        out[i] = np.sum(kernel_eval_radial(profile, t, r) * pv) * cell_area
+        out[i] = np.sum(profile.at(t, r)[0] * pv) * cell_area
     return out
 
 
@@ -656,30 +642,31 @@ def kernel_lp_norm(
     """
     ||grad^kappa p(t, .)||_p for |kappa| <= 1 by radial quadrature with the
     exact angular factor out to r = 50 t^(1/alpha), plus the closed form of
-    the leading power tail beyond.  The gradient comes from ``profile``'s
-    own g'/r; ``dprofile`` is not read and may be None.
+    the leading power tail beyond; the quadrature reads ``KernelProfile.at``.
+    ``dprofile`` is not read and may be None.
     """
     if kappa.order > 1:
         raise ValueError("norms are provided for |kappa| <= 1")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     a = profile.alpha
     r_edge = 50.0 * t ** (1.0 / a)  # where the closed-form tail starts
     if np.isinf(p):
         if kappa.order == 0:
-            return float(kernel_eval_radial(profile, t, np.zeros(1))[0])
+            return float(profile.at(t, 0.0)[0, 0])
         rr = np.expm1(np.linspace(0, np.log1p(r_edge), 600))
-        comp = np.abs(profile.radial(rr * t ** (-1.0 / a))[1] * rr * t ** (-1.0 / a))
-        return float(comp.max() * t ** (-(2.0 + 1.0) / a))
+        return float(np.max(np.abs(profile.at(t, rr)[1] * rr)))
     un, uw = _gauss_panels(np.linspace(0.0, np.log1p(r_edge), 600), 12)
     rn = np.expm1(un)
     jac = rn + 1.0
+    p_t, grad_over_r, _ = profile.at(t, rn)
     if kappa.order == 0:
-        vals = kernel_eval_radial(profile, t, rn)
+        vals = p_t
         ang = 2 * np.pi
         tail_mag = levy_constant(a) * t  # p(t,r) ~ C t r^(-2-a)
         tail_pow = 2.0 + a
     else:
-        z = rn * t ** (-1.0 / a)
-        vals = np.abs(profile.radial(z)[1] * z) * t ** (-(3.0) / a)
+        vals = np.abs(grad_over_r * rn)
         ang = 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
         tail_mag = (2.0 + a) * levy_constant(a) * t
         tail_pow = 3.0 + a

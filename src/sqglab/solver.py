@@ -88,7 +88,8 @@ class SolverConfig:
             raise ValueError(f"dt = {self.dt!r} and t_end = {self.t_end!r} plan more than "
                              f"{MAX_STEPS} IF-RK4 steps")
         snaps = tuple(sorted(float(s) for s in self.snapshot_times))
-        if not all(0 <= s <= self.t_end + 1e-12 for s in snaps):
+        # the slack is relative, so that no snapshot runs past a small t_end
+        if not all(0 <= s <= self.t_end * (1 + 1e-12) for s in snaps):
             raise ValueError(f"snapshot_times must lie in [0, t_end], got {self.snapshot_times!r}")
         object.__setattr__(self, "snapshot_times", snaps)
 

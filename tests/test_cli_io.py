@@ -639,6 +639,16 @@ class TestSimulateCli:
         assert run_cli("simulate", "--config", cfgfile) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_snapshot_past_a_small_t_end_exit_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        out = tmp_path / "o"
+        text = BASE_CONFIG.format(out=out).replace("t_end = 0.3", "t_end = 1e-15")
+        cfgfile.write_text(text.replace("snapshot_times = 0.1, 0.3", "snapshot_times = 5e-13"))
+        assert run_cli("simulate", "--config", cfgfile) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfgfile}: [solver]: snapshot_times must lie in [0, t_end]")
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_misspelt_key_exit_two(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         out = tmp_path / "o"

@@ -249,6 +249,15 @@ class TestDealias:
         kx, ky = np.rint(sp.kx).astype(int), np.rint(sp.ky).astype(int)
         assert np.array_equal(sp.dealias_mask, (np.abs(kx) <= 16) & (ky <= 16))
 
+    @pytest.mark.parametrize("n, kept", [(16, 66), (64, 946), (96, 2145)])
+    def test_mask_does_not_depend_on_units(self, n, kept):
+        # the rule counts integer modes, so the smallest and largest boxes
+        # GridSpec admits keep the modes a box of length 40 keeps
+        for box_length in (n * 1e-140, 40.0, n * 1e140):
+            mask = _Spectra.of(GridSpec(n, box_length)).dealias_mask
+            assert np.count_nonzero(mask) == kept
+            assert np.array_equal(mask, _Spectra.of(GridSpec(n, 2 * np.pi)).dealias_mask)
+
 
 class TestBandTransforms:
     """The buffer-writing pair that serves the flux term, against the full transforms."""

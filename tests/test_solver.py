@@ -115,6 +115,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg_for(grid128, snapshot_times=(5.0,))
 
+    def test_snapshot_slack_is_relative(self, grid128):
+        # an absolute slack of 1e-12 let a snapshot at 500 t_end through
+        with pytest.raises(ValueError, match=r"snapshot_times must lie in \[0, t_end\]"):
+            cfg_for(grid128, t_end=1e-15, snapshot_times=(5e-13,))
+        late = 20.0 * (1 + 1e-13)
+        assert cfg_for(grid128, t_end=20.0, snapshot_times=(late,)).snapshot_times == (late,)
+
     def test_scheme_name(self, grid128):
         with pytest.raises(ValueError):
             cfg_for(grid128, scheme="euler")

@@ -18,7 +18,6 @@ from sqglab.kernel import (
     gaussian_semigroup_radial,
     kernel_derivative_eval,
     kernel_eval,
-    kernel_eval_radial,
     kernel_lp_norm,
     levy_density,
     load_profile,
@@ -248,15 +247,39 @@ class TestKernelEval:
         x = np.array([0.7, -1.3])
         assert kernel_eval(profile15, 2.0, x) == kernel_eval(profile15, 2.0, -x)
 
-    def test_time_domain(self, profile15):
-        with pytest.raises(ValueError):
-            kernel_eval(profile15, 0.0, [1.0, 0.0])
+    def test_time_domain(self, profile15, dprofile15_10):
+        # ``at`` is the one check of t > 0, and every reader of p(t, .) meets it
+        one = np.zeros((1, 2))
+        for t in (0.0, -1.0, np.nan):
+            for call in (
+                lambda: profile15.at(t, 1.0),
+                lambda: kernel_eval(profile15, t, [1.0, 0.0]),
+                lambda: kernel_derivative_eval(dprofile15_10, t, [1.0, 0.0]),
+                lambda: convolve_whole_space(profile15, one, np.ones(1), 1.0, t, one),
+                *(lambda kappa=kappa, p=p: kernel_lp_norm(profile15, None, kappa, t, p)
+                  for kappa in (MultiIndex(0, 0), MultiIndex(1, 0)) for p in (2.0, np.inf)),
+            ):
+                with pytest.raises(ValueError, match="kernel time must be positive"):
+                    call()
+
+    def test_at_is_the_exact_scaling(self, profile15):
+        rs = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 200)])
+        for t in (0.02, 1.0, 3.7, 60.0):
+            rows = profile15.at(t, rs)
+            assert rows.shape == (3, rs.size)
+            # the p row bit for bit as t^(-2/alpha) p(1, t^(-1/alpha) r)
+            assert np.array_equal(rows[0], t ** (-2 / 1.5) * profile15(rs * t ** (-1 / 1.5)))
+            # (t, r) -> (lam t, lam^(1/alpha) r) scales row k by lam^(-(2 + 2k)/alpha)
+            lam = 7.0
+            scaled = profile15.at(lam * t, rs * lam ** (1 / 1.5))
+            for k in range(3):
+                assert np.allclose(scaled[k], lam ** (-(2 + 2 * k) / 1.5) * rows[k], rtol=1e-12, atol=0.0)
 
     def test_semigroup_by_convolution(self, profile15):
         # p(2t, x) = int p(t, x-z) p(t, z) dz, direct 2D quadrature
         t = 0.5
         coords, vals, cell = patch_samples(
-            lambda X, Y: kernel_eval_radial(profile15, t, np.hypot(X, Y)), 40.0, 801
+            lambda X, Y: profile15.at(t, np.hypot(X, Y))[0], 40.0, 801
         )
         targets = np.array([[0.0, 0.0], [0.5, 0.3], [1.5, -1.0], [3.0, 2.0]])
         conv = convolve_whole_space(profile15, coords, vals, cell, t, targets)
@@ -327,9 +350,9 @@ class TestDerivatives:
     def test_domination_by_kernel(self, profile15, dprofile15_10, dprofile15_20):
         # |grad^kappa p(1,x)| <= c p(1,x) on the patch, finite c
         coords, _, _ = patch_samples(lambda X, Y: X, 20.0, 41)
-        p = kernel_eval_radial(profile15, 1.0, np.hypot(coords[..., 0], coords[..., 1]))
+        p = profile15.at(1.0, np.hypot(coords[..., 0], coords[..., 1]))[0]
         for dp in (dprofile15_10, dprofile15_20):
-            ratio = np.abs(dp.eval_unit_time(coords)) / p
+            ratio = np.abs(kernel_derivative_eval(dp, 1.0, coords)) / p
             assert np.isfinite(ratio).all()
             assert ratio.max() < 50.0
 
@@ -388,11 +411,9 @@ class TestSplineDerivatives:
         v = prof.radii**2
         oracle = PPoly.from_spline(make_interp_spline(v, np.log(prof.values), k=5))
         at = np.concatenate([v, np.random.default_rng(7).uniform(0.0, v[-1], 10**4)])
-        for nu, got in enumerate(prof._log_g(at, derivatives=True)):
+        for nu, got in enumerate(prof._log_g(at)):
             want = oracle(at, nu)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        rs = np.sqrt(at)
-        assert np.array_equal(prof.radial(rs, derivatives=False)[0], prof.radial(rs)[0])
 
     def test_loaded_table_serves_the_same_derivatives(self, profile15, tmp_path):
         path = tmp_path / "k.sqgk"
@@ -401,7 +422,8 @@ class TestSplineDerivatives:
         xs = np.stack(np.meshgrid(np.linspace(-60.0, 60.0, 31), np.linspace(-3.0, 3.0, 17)), axis=-1)
         for kappa in (MultiIndex(1, 1), MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(2, 0), MultiIndex(0, 2)):
             dp = kernel.KernelDerivativeProfile(loaded, kappa)
-            assert np.array_equal(dp.eval_unit_time(xs), build_derivative_profile(1.5, kappa).eval_unit_time(xs))
+            want = kernel_derivative_eval(build_derivative_profile(1.5, kappa), 1.0, xs)
+            assert np.array_equal(kernel_derivative_eval(dp, 1.0, xs), want)
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
     def test_hessian_at_origin(self, alpha):
@@ -434,6 +456,13 @@ class TestLpNorms:
         )
         assert fit.passed, f"slope {fit.slope} vs {fit.expected}"
 
+    @pytest.mark.parametrize("p", [0.5, -1.0, np.nan, 0.0])
+    def test_p_below_one_refused(self, profile15, p):
+        # below 1 the tail integral diverges or the norm is no norm, as in grid.lp_norm
+        for kappa in (MultiIndex(0, 0), MultiIndex(1, 0)):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                kernel_lp_norm(profile15, None, kappa, 1.0, p)
+
 
 class TestRieszKernelBound:
     def test_finite_and_resolution_stable(self, profile15):
@@ -456,7 +485,7 @@ class TestRieszKernelBound:
 
         g = GridSpec(128, 60.0)
         X, Y = g.centered_coordinates()
-        f = RealField(g, kernel_eval_radial(profile15, 1.0, np.hypot(X, Y).ravel()).reshape(g.shape))
+        f = RealField(g, profile15.at(1.0, np.hypot(X, Y).ravel())[0].reshape(g.shape))
         r1 = apply_riesz(f, 1).values
         flipped = np.roll(r1[::-1, :], 1, axis=0)  # x1 -> -x1 on the periodic grid
         assert np.abs(r1 + flipped).max() < 1e-10 * np.abs(r1).max()
